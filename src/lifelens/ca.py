@@ -7,16 +7,11 @@ for dead cells and 'O' for live ones, one row per line, top row first.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
 """Lattice position as (x, y): x grows rightward, y downward (text rows)."""
-
-_OFFSETS: tuple[Cell, ...] = tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
-)
 
 
 class PatternError(ValueError):
@@ -124,15 +119,36 @@ def life_step(s: CAState) -> CAState:
 
     A cell with exactly 3 live neighbors is live next step; with exactly
     2 it keeps its current value; any other count leaves it dead.
+
+    Each row is packed into an int, bit i holding cell x = base + i,
+    where base lies one left of the leftmost live cell so no birth falls
+    below bit 0. The eight shifted neighbour rows go through a bitwise
+    counter: `ones` and `twos` hold the count's low bits, and `many`
+    flags a count of four or more.
     """
-    counts: Counter[Cell] = Counter()
-    for x, y in s.live:
-        for dx, dy in _OFFSETS:
-            counts[(x + dx, y + dy)] += 1
     live = s.live
-    return CAState(frozenset(
-        cell for cell, n in counts.items() if n == 3 or (n == 2 and cell in live)
-    ))
+    if not live:
+        return CAState()
+    base = min(x for x, _ in live) - 1
+    rows: dict[int, int] = {}
+    get = rows.get
+    for x, y in live:
+        rows[y] = get(y, 0) | 1 << (x - base)
+    cells = []
+    for y in {r + dy for r in rows for dy in (-1, 0, 1)}:
+        a, b, c = get(y - 1, 0), get(y, 0), get(y + 1, 0)
+        ones = twos = many = 0
+        for n in (a << 1, a, a >> 1, b << 1, b >> 1, c << 1, c, c >> 1):
+            carry = ones & n
+            ones ^= n
+            many |= twos & carry
+            twos ^= carry
+        row = twos & ~many & (ones | b)
+        while row:
+            low = row & -row
+            cells.append((low.bit_length() - 1 + base, y))
+            row ^= low
+    return CAState(frozenset(cells))
 
 
 def run(initial: CAState, steps: int) -> Trace:

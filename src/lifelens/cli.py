@@ -87,15 +87,28 @@ def _parse_viewport(text: str) -> tuple[int, int, int, int]:
     return x0, y0, w, h
 
 
+def _decode_ascii(data: bytes) -> str:
+    """Pattern file bytes as text; a non-ASCII byte is a ValueError that
+    names its 1-based line and column."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Count lines as parse_pattern does; the '.' stands in for the
+        # bad byte, so a line break just before it starts a new line.
+        lines = (data[:exc.start] + b".").decode("ascii").splitlines()
+        raise ValueError(f"line {len(lines)}, column {len(lines[-1])}: "
+                         f"non-ASCII byte {data[exc.start]:#04x}") from None
+
+
 def cmd_life(args) -> int:
     try:
-        with open(args.pattern, encoding="ascii") as fh:
-            text = fh.read()
+        with open(args.pattern, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"lifelens life: cannot read {args.pattern}: {exc.strerror}", file=sys.stderr)
         return 2
     try:
-        initial = ca.parse_pattern(text)
+        initial = ca.parse_pattern(_decode_ascii(data))
         if args.steps < 0:
             raise ValueError("steps must be non-negative")
         viewport = _parse_viewport(args.viewport) if args.viewport else None
@@ -104,7 +117,7 @@ def cmd_life(args) -> int:
         return 2
     trace = ca.run(initial, args.steps)
     if viewport is None:
-        boxes = [s.bounding_box() for s in trace if s.bounding_box() is not None]
+        boxes = [b for b in (s.bounding_box() for s in trace) if b is not None]
         if boxes:
             x0 = min(b[0] for b in boxes)
             y0 = min(b[1] for b in boxes)

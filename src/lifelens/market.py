@@ -190,6 +190,8 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     """
     if tests < 1 or group_size < 1:
         raise ValueError("tests and group_size must be positive")
+    if days < 1:
+        raise ValueError(f"the week needs at least one day, got {days}")
     results = []
     a_gt_b = b_gt_a = ties = 0
     clamped_total = 0

@@ -348,6 +348,30 @@ def _glider_phases() -> tuple[tuple[Cell, ...], ...]:
 GLIDER_PHASES = _glider_phases()
 
 
+# Every phase's halo holds the four neighbours of its (y, x)-least cell
+# that come before it: the one to its left and the three in the row above.
+# In a crowded state most live cells have one of them live, so testing
+# these first rejects most anchors at once.
+_SHARED_HALO: tuple[Cell, ...] = ((-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+def _glider_templates() -> tuple[tuple[tuple[Cell, ...], tuple[Cell, ...]], ...]:
+    """Per phase, offsets from its least cell: the other four body cells,
+    and the halo (cells adjacent to the body) less the shared offsets."""
+    templates = []
+    for phase in GLIDER_PHASES:
+        body = set(phase)
+        halo = {(x + dx, y + dy) for x, y in phase for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+        templates.append((
+            tuple(sorted(body - {(0, 0)})),
+            tuple(sorted(halo - body - set(_SHARED_HALO))),
+        ))
+    return tuple(templates)
+
+
+_GLIDER_TEMPLATES = _glider_templates()
+
+
 def find_glider(state: CAState) -> frozenset[Cell] | None:
     """The cell set of a detected glider phase, or None.
 
@@ -356,28 +380,28 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
     (Chebyshev distance 1). With several detections, the one whose sorted
     (y, x) cell list is lexicographically least wins, so detection is a
     function of the state alone.
+
+    Each live cell is tried as the (y, x)-least cell of a detection. A
+    glider phase is 8-connected, so isolated detections are disjoint, and
+    the one with the least such anchor has the least cell list.
     """
     live = state.live
-    best: frozenset[Cell] | None = None
-    best_key: list[tuple[int, int]] | None = None
+    best: Cell | None = None
+    best_body: tuple[Cell, ...] = ()
     for cx, cy in live:
-        for phase in GLIDER_PHASES:
-            body = frozenset((cx + ox, cy + oy) for ox, oy in phase)
-            if not body <= live:
-                continue
-            rest = live - body
-            if rest:
-                halo = set()
-                for x, y in body:
-                    for dx in (-1, 0, 1):
-                        for dy in (-1, 0, 1):
-                            halo.add((x + dx, y + dy))
-                if rest & halo:
-                    continue
-            key = sorted((y, x) for x, y in body)
-            if best_key is None or key < best_key:
-                best, best_key = body, key
-    return best
+        if any((cx + dx, cy + dy) in live for dx, dy in _SHARED_HALO):
+            continue
+        if best is not None and (cy, cx) > (best[1], best[0]):
+            continue
+        for body, halo in _GLIDER_TEMPLATES:
+            if all((cx + dx, cy + dy) in live for dx, dy in body) and not any(
+                    (cx + dx, cy + dy) in live for dx, dy in halo):
+                best, best_body = (cx, cy), body
+                break
+    if best is None:
+        return None
+    cx, cy = best
+    return frozenset([best, *((cx + dx, cy + dy) for dx, dy in best_body)])
 
 
 def glider_observer() -> Observer:
@@ -386,13 +410,22 @@ def glider_observer() -> Observer:
     ps_ent reports the detected glider's cell set, or ZERO; ps_env
     reports the remaining live cells as a frozen cell set. The label
     sets are unbounded, so the observer carries no PerceptionSpace.
+    Both functions share one detection per state through a one-slot
+    memo keyed on the state's identity.
     """
+    memo: list = [None, None]  # [state, its detection]
+
+    def detect(state: CAState) -> frozenset[Cell] | None:
+        if memo[0] is not state:
+            memo[:] = state, find_glider(state)
+        return memo[1]
+
     def ps_ent(state: CAState) -> Label:
-        body = find_glider(state)
+        body = detect(state)
         return body if body is not None else ZERO
 
     def ps_env(state: CAState) -> Label:
-        body = find_glider(state)
+        body = detect(state)
         if body is None:
             return frozenset(state.live)
         return frozenset(state.live - body)

@@ -78,6 +78,14 @@ class TestLife:
         code, _, err = run_cli(capsys, "life", str(pattern), "--steps", "-1")
         assert code == 2
 
+    def test_non_ascii_byte_reports_position(self, capsys, tmp_path):
+        pattern = tmp_path / "accent.txt"
+        pattern.write_bytes("O.\n.O\u00e9\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "life", str(pattern))
+        assert code == 2
+        assert out == ""
+        assert err == "lifelens life: line 2, column 3: non-ASCII byte 0xc3\n"
+
 
 class TestObserve:
     def test_default_scene_report(self, capsys):
@@ -231,6 +239,13 @@ class TestMarket:
     def test_invalid_tests(self, capsys):
         code, _, err = run_cli(capsys, "market", "--tests", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("days", ["0", "-3"])
+    def test_week_without_days_is_rejected(self, capsys, days):
+        code, out, err = run_cli(capsys, "market", "--days", days)
+        assert code == 2
+        assert out == ""
+        assert err == f"lifelens market: the week needs at least one day, got {days}\n"
 
 
 class TestTheorem:

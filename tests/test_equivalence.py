@@ -1,0 +1,102 @@
+"""The bit-row `life_step` and the anchor-scan `find_glider` against the
+original set-based formulations kept in reference.py.
+
+Each fast path must return exactly what its oracle returns: the same
+next state, and the same detected glider (or None), on arbitrary states,
+on crowds of gliders where the least-body tie-break and the halo test
+decide, and on every state of a random soup.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import reference
+from lifelens import observe
+from lifelens.ca import CAState, life_step, parse_pattern, run
+from lifelens.observe import GLIDER_PHASES, ZERO, find_glider, glider_observer, perceive_trace
+
+coords = st.integers(-12, 12)
+states = st.frozensets(st.tuples(coords, coords), max_size=90).map(CAState)
+
+
+def crowd(rng: random.Random) -> CAState:
+    """2-4 translated glider phases, close enough to touch or overlap,
+    plus up to 4 noise cells."""
+    cells = set()
+    for _ in range(rng.randint(2, 4)):
+        phase = rng.choice(GLIDER_PHASES)
+        dx, dy = rng.randint(-12, 12), rng.randint(-12, 12)
+        cells.update((x + dx, y + dy) for x, y in phase)
+    cells.update((rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(rng.randint(0, 4)))
+    return CAState(frozenset(cells))
+
+
+glider_crowds = st.randoms(use_true_random=False).map(crowd)
+
+
+def soup(seed: int, size: int = 60, density: float = 0.35) -> CAState:
+    rng = random.Random(seed)
+    return parse_pattern("\n".join(
+        "".join("O" if rng.random() < density else "." for _ in range(size))
+        for _ in range(size)))
+
+
+class TestLifeStep:
+    @given(states)
+    def test_matches_the_counter_step(self, state):
+        assert life_step(state) == reference.life_step(state)
+
+    @given(glider_crowds)
+    def test_matches_on_glider_crowds(self, state):
+        assert life_step(state) == reference.life_step(state)
+
+
+class TestFindGlider:
+    @given(states)
+    def test_matches_the_set_scan(self, state):
+        assert find_glider(state) == reference.find_glider(state)
+
+    @settings(max_examples=300)
+    @given(glider_crowds)
+    def test_matches_on_glider_crowds(self, state):
+        assert find_glider(state) == reference.find_glider(state)
+
+    def test_crowds_reach_ties_and_rejections(self):
+        """Such crowds include states with several isolated gliders, where
+        the tie-break decides, and states where every glider touches
+        another live cell."""
+        several = none = 0
+        rng = random.Random(3)
+        for _ in range(300):
+            state = crowd(rng)
+            found = find_glider(state)
+            assert found == reference.find_glider(state)
+            if found is None:
+                none += 1
+            elif find_glider(CAState(state.live - found)) is not None:
+                several += 1
+        assert several and none
+
+
+class TestSoup:
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_every_state_of_a_soup_run(self, seed):
+        trace = run(soup(seed), 30)
+        for before, after in zip(trace, trace.states[1:]):
+            assert after == reference.life_step(before)
+        for state in trace:
+            assert find_glider(state) == reference.find_glider(state)
+
+    def test_observer_detects_once_per_state(self, monkeypatch):
+        detected = []
+        fast = observe.find_glider
+        monkeypatch.setattr(observe, "find_glider", lambda s: detected.append(s) or fast(s))
+        trace = run(soup(7), 30)
+        pairs = perceive_trace(glider_observer(), trace).pairs
+        assert [id(s) for s in detected] == [id(s) for s in trace]
+        for state, (ent, env) in zip(trace, pairs):
+            body = reference.find_glider(state)
+            assert ent == (ZERO if body is None else body)
+            assert env == state.live - (body or frozenset())

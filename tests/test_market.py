@@ -197,6 +197,8 @@ class TestExperiment:
             run_market_experiment(tests=0)
         with pytest.raises(ValueError):
             run_market_experiment(group_size=0)
+        with pytest.raises(ValueError):
+            run_market_experiment(tests=1, days=0)
 
     def test_first_test_replayed_by_hand(self):
         """Re-derive test 0 from the documented draw order."""
