@@ -205,8 +205,7 @@ def cmd_updown(args) -> int:
         return 0
     n = args.n if args.n is not None else 10
     try:
-        best, best_count = updown.max_victories(n)
-        rows = [(s, updown.victories_dp(s)) for s in updown.all_strategies(n)]
+        rows = updown.victory_table(n)
     except ValueError as exc:
         print(f"lifelens updown: {exc}", file=sys.stderr)
         return 2
@@ -217,6 +216,8 @@ def cmd_updown(args) -> int:
     else:
         for s, c in rows:
             print(f"{s} {c.wins:>12} / {c.total}")
+        # The first maximum, as in max_victories: ties go to the UP-first word.
+        best, best_count = max(rows, key=lambda row: row[1].wins)
         print(f"maximizer: {best} with {best_count.wins} of {best_count.total} decks")
     return 0
 

@@ -41,6 +41,10 @@ class PayoffMatrix:
     nn: int = 0
 
 
+# Stances indexed by the bool "is COOP", as the experiment's inner loop encodes them.
+_BY_BOOL = (Stance.NONCOOP, Stance.COOP)
+
+
 def meeting_payoff(a: Stance, b: Stance, payoffs: PayoffMatrix = PayoffMatrix()) -> tuple[int, int]:
     """Payoffs (for a, for b) of one meeting."""
     table = {
@@ -144,14 +148,14 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     m = config.env_size
     n = config.population
     p = config.resolved_flip_probability()
-    pay_as_coop = (payoffs.cn, payoffs.cc)    # indexed by opponent-is-coop
-    pay_as_noncoop = (payoffs.nn, payoffs.nc)
+    # gain[stance][opponent]: the stance's take, indexed by is-COOP bools.
+    gain = tuple(tuple(meeting_payoff(s, o, payoffs)[0] for o in _BY_BOOL) for s in _BY_BOOL)
 
     results = []
     contradictory_winners = 0
     noncontra_total = 0
     coop_sum = coop_meetings = 0
-    noncoop_sum = noncoop_meetings = 0
+    payoff_sum = 0
 
     for r in range(config.repetitions):
         rng = substream(config.seed, r)
@@ -159,17 +163,14 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
         env = tuple(rand() < 0.5 for _ in range(m))
         initial = tuple(rand() < 0.5 for _ in range(n))
 
-        best_payoff: int | None = None
+        totals: list[int] = []
         winner_index = 0
-        winner_initial = True
-        winner_history: tuple[bool, ...] = ()
-        rep_min = rep_max = 0
+        winner_history: list[bool] = []
         noncontra = 0
         rep_coop_sum = rep_coop_meetings = 0
-        rep_noncoop_sum = rep_noncoop_meetings = 0
 
         for i in range(n):
-            stance = start = initial[i]
+            stance = initial[i]
             total = 0
             history = []
             flipped = False
@@ -178,32 +179,25 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
                     stance = not stance
                     flipped = True
                 history.append(stance)
+                take = gain[stance][opponent]
+                total += take
                 if stance:
-                    total += pay_as_coop[opponent]
-                    rep_coop_sum += pay_as_coop[opponent]
+                    rep_coop_sum += take
                     rep_coop_meetings += 1
-                else:
-                    total += pay_as_noncoop[opponent]
-                    rep_noncoop_sum += pay_as_noncoop[opponent]
-                    rep_noncoop_meetings += 1
             if not flipped:
                 noncontra += 1
-            if best_payoff is None or total > best_payoff:
-                best_payoff = total
+            if not totals or total > totals[winner_index]:
                 winner_index = i
-                winner_initial = start
-                winner_history = tuple(history)
-            if i == 0:
-                rep_min = rep_max = total
-            else:
-                rep_min = min(rep_min, total)
-                rep_max = max(rep_max, total)
+                winner_history = history
+            totals.append(total)
 
-        assert best_payoff is not None
+        rep_sum = sum(totals)
+        rep_noncoop_meetings = n * m - rep_coop_meetings
+        winner_initial = initial[winner_index]
         winner = IndividualRecord(
-            initial_stance=Stance.COOP if winner_initial else Stance.NONCOOP,
-            stance_history=tuple(Stance.COOP if s else Stance.NONCOOP for s in winner_history),
-            total_payoff=best_payoff,
+            initial_stance=_BY_BOOL[winner_initial],
+            stance_history=tuple(_BY_BOOL[s] for s in winner_history),
+            total_payoff=totals[winner_index],
             contradictory=any(s != winner_initial for s in winner_history),
         )
         if winner.contradictory:
@@ -211,22 +205,22 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
         noncontra_total += noncontra
         coop_sum += rep_coop_sum
         coop_meetings += rep_coop_meetings
-        noncoop_sum += rep_noncoop_sum
-        noncoop_meetings += rep_noncoop_meetings
+        payoff_sum += rep_sum
         results.append(RepetitionResult(
             index=r,
             env_coop_count=sum(env),
             winner_index=winner_index,
             winner=winner,
             noncontradictory_fraction=noncontra / n,
-            min_payoff=rep_min,
-            max_payoff=rep_max,
+            min_payoff=min(totals),
+            max_payoff=max(totals),
             mean_payoff_coop=(rep_coop_sum / rep_coop_meetings
                               if rep_coop_meetings else float("nan")),
-            mean_payoff_noncoop=(rep_noncoop_sum / rep_noncoop_meetings
+            mean_payoff_noncoop=((rep_sum - rep_coop_sum) / rep_noncoop_meetings
                                  if rep_noncoop_meetings else float("nan")),
         ))
 
+    noncoop_meetings = n * m * config.repetitions - coop_meetings
     return CoopReport(
         config=config,
         payoffs=payoffs,
@@ -235,5 +229,6 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
         contradictory_winner_pct=100.0 * contradictory_winners / config.repetitions,
         noncontradictory_fraction=noncontra_total / (n * config.repetitions),
         mean_payoff_coop=coop_sum / coop_meetings if coop_meetings else float("nan"),
-        mean_payoff_noncoop=noncoop_sum / noncoop_meetings if noncoop_meetings else float("nan"),
+        mean_payoff_noncoop=((payoff_sum - coop_sum) / noncoop_meetings
+                             if noncoop_meetings else float("nan")),
     )

@@ -45,6 +45,9 @@ class PriceDynamics:
         return self.targets[PRICES.index(price)]
 
     def path(self, days: int = DAYS_PER_WEEK) -> tuple[int, ...]:
+        """The prices of `days` trading days, starting at initial_price."""
+        if days < 1:
+            raise ValueError(f"the week needs at least one day, got {days}")
         prices = [self.initial_price]
         for _ in range(days - 1):
             prices.append(self.next_price(prices[-1]))
@@ -125,12 +128,11 @@ def sample_consistent_policy(rng: Random) -> ConsistentPolicy:
     ))
 
 
-def _run_week(dynamics: PriceDynamics, policy: TraderPolicy, rng: Random,
-              days: int) -> tuple[int, int]:
-    """(final capital, number of clamped trades) for one trader's week."""
+def _run_week(path: tuple[int, ...], policy: TraderPolicy, rng: Random) -> tuple[int, int]:
+    """(final capital, number of clamped trades) for one trader's week
+    along a price path."""
     portfolio = Portfolio(START_CASH, START_SHARES)
     clamped = 0
-    path = dynamics.path(days)
     for price in path:
         intended = policy.intended_trade(price, portfolio, rng)
         trade = max(-portfolio.shares, min(intended, portfolio.max_buy(price)))
@@ -143,9 +145,7 @@ def _run_week(dynamics: PriceDynamics, policy: TraderPolicy, rng: Random,
 def simulate_week(dynamics: PriceDynamics, policy: TraderPolicy, rng: Random | None = None,
                   days: int = DAYS_PER_WEEK) -> int:
     """Final capital of one trader; infeasible intentions are clamped."""
-    if days < 1:
-        raise ValueError(f"the week needs at least one day, got {days}")
-    return _run_week(dynamics, policy, rng if rng is not None else Random(0), days)[0]
+    return _run_week(dynamics.path(days), policy, rng if rng is not None else Random(0))[0]
 
 
 @dataclass(frozen=True)
@@ -190,25 +190,24 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     """
     if tests < 1 or group_size < 1:
         raise ValueError("tests and group_size must be positive")
-    if days < 1:
-        raise ValueError(f"the week needs at least one day, got {days}")
     results = []
     a_gt_b = b_gt_a = ties = 0
     clamped_total = 0
     for t in range(tests):
         rng = substream(seed, t)
         dynamics = sample_dynamics(rng)
+        path = dynamics.path(days)
         best_a: int | None = None
         for _ in range(group_size):
             policy = sample_consistent_policy(rng)
-            capital, clamped = _run_week(dynamics, policy, rng, days)
+            capital, clamped = _run_week(path, policy, rng)
             clamped_total += clamped
             if best_a is None or capital > best_a:
                 best_a = capital
         best_b: int | None = None
         free = FreePolicy()
         for _ in range(group_size):
-            capital, clamped = _run_week(dynamics, free, rng, days)
+            capital, clamped = _run_week(path, free, rng)
             clamped_total += clamped
             if best_b is None or capital > best_b:
                 best_b = capital

@@ -44,8 +44,6 @@ class Absence(Enum):
 
 ZERO = Absence.ZERO
 
-_UNKNOWN = object()  # successor fell past the end of a finite trace
-
 
 @dataclass(frozen=True)
 class PerceptionSpace:
@@ -194,44 +192,25 @@ def intelligence(ep: ObservedEpisode) -> int:
     return ep.q
 
 
-def _next_ent(ep: ObservedEpisode, i: int):
-    if i < ep.q:
-        return ep.ent_states[i + 1]
-    if ep.next_pair_after_end is not None:
-        return ep.next_pair_after_end[0]
-    return _UNKNOWN
-
-
-def _next_env(ep: ObservedEpisode, i: int):
-    if i < ep.q:
-        return ep.env_states[i + 1]
-    if ep.next_pair_after_end is not None:
-        return ep.next_pair_after_end[1]
-    return _UNKNOWN
-
-
-def _first_divergence(ep: ObservedEpisode, successor) -> Witness | None:
-    """First (a, b) with equal perceived pairs but different successors.
+def _first_divergence(ep: ObservedEpisode, track: int) -> Witness | None:
+    """First (a, b) with equal perceived pairs but different successors on
+    `track` (0 = entity, 1 = environment).
 
     Indexes whose successor is unknown (the last index of an unterminated
-    episode) join no comparison. The scan keeps, per pair value, its first
-    occurrence with a known successor; any group containing two different
-    successors necessarily differs from that first occurrence, so the scan
-    is complete and the returned witness deterministic.
+    episode) join no comparison: zip stops at the last known successor.
+    The scan keeps, per pair value, its first occurrence; any group
+    containing two different successors necessarily differs from that
+    first occurrence, so the scan is complete and the returned witness
+    deterministic.
     """
-    seen: dict[tuple[Label, Label], tuple[int, object]] = {}
-    ents, envs = ep.ent_states, ep.env_states
-    for i in range(ep.q + 1):
-        nxt = successor(ep, i)
-        if nxt is _UNKNOWN:
-            continue
-        pair = (ents[i], envs[i])
-        if pair in seen:
-            a, first = seen[pair]
-            if first != nxt:
-                return Witness(a, i)
-        else:
-            seen[pair] = (i, nxt)
+    successors = (ep.ent_states, ep.env_states)[track][1:]
+    if ep.next_pair_after_end is not None:
+        successors += (ep.next_pair_after_end[track],)
+    seen: dict[tuple[Label, Label], tuple[int, Label]] = {}
+    for i, (pair, nxt) in enumerate(zip(zip(ep.ent_states, ep.env_states), successors)):
+        a, first = seen.setdefault(pair, (i, nxt))
+        if first != nxt:
+            return Witness(a, i)
     return None
 
 
@@ -244,14 +223,14 @@ def is_contradictory(ep: ObservedEpisode) -> Witness | None:
     from a trace: the death step counts as behavior); otherwise the last
     index joins no comparison.
     """
-    return _first_divergence(ep, _next_ent)
+    return _first_divergence(ep, 0)
 
 
 def is_deterministic_env(ep: ObservedEpisode) -> Witness | None:
     """None when equal-looking moments always lead to equal next
     environment labels; otherwise a violating witness.
     """
-    return _first_divergence(ep, _next_env)
+    return _first_divergence(ep, 1)
 
 
 @dataclass(frozen=True)

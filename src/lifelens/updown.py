@@ -156,22 +156,21 @@ def all_strategies(n: int) -> Iterator[Strategy]:
         yield Strategy(words)
 
 
+def victory_table(n: int) -> list[tuple[Strategy, VictoryCount]]:
+    """Every word for deck size n with its exact win count, in
+    `all_strategies` order; n is limited to 2..16."""
+    if not 2 <= n <= 16:
+        raise ValueError(f"deck size must be within 2..16, got {n}")
+    return [(strategy, victories_dp(strategy)) for strategy in all_strategies(n)]
+
+
 def max_victories(n: int) -> tuple[Strategy, VictoryCount]:
     """The best fixed word for deck size n and its exact win count.
 
     Ties go to the earliest word in lexicographic order with UP first,
     so of the two zigzag words the one starting UP is reported.
     """
-    if not 2 <= n <= 16:
-        raise ValueError(f"deck size must be within 2..16, got {n}")
-    best: Strategy | None = None
-    best_count: VictoryCount | None = None
-    for strategy in all_strategies(n):
-        count = victories_dp(strategy)
-        if best_count is None or count.wins > best_count.wins:
-            best, best_count = strategy, count
-    assert best is not None and best_count is not None
-    return best, best_count
+    return max(victory_table(n), key=lambda row: row[1].wins)
 
 
 @dataclass(frozen=True)

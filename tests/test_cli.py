@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from lifelens import updown
 from lifelens.cli import main
 
 
@@ -177,6 +178,20 @@ class TestUpdown:
     def test_n_out_of_range(self, capsys):
         assert run_cli(capsys, "updown", "--n", "1")[0] == 2
         assert run_cli(capsys, "updown", "--n", "17")[0] == 2
+
+    def test_table_runs_the_dp_once_per_word(self, capsys, monkeypatch):
+        calls = []
+        dp = updown.victories_dp
+
+        def counted(strategy):
+            calls.append(strategy)
+            return dp(strategy)
+
+        monkeypatch.setattr(updown, "victories_dp", counted)
+        code, out, _ = run_cli(capsys, "updown", "--n", "12")
+        assert code == 0
+        assert len(calls) == 2 ** 11
+        assert out.splitlines()[-1].startswith("maximizer: UDUDUDUDUDU with ")
 
 
 class TestCoop:

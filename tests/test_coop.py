@@ -163,10 +163,11 @@ class TestExperimentShape:
 
 
 class TestReplay:
-    def test_single_repetition_replayed_by_hand(self):
+    @pytest.mark.parametrize("payoffs", [PayoffMatrix(), PayoffMatrix(cc=5, cn=-3, nc=2, nn=1)],
+                             ids=["default", "custom"])
+    def test_single_repetition_replayed_by_hand(self, payoffs):
         """Re-derive repetition 0 from the documented draw order."""
         m, n, p, seed = 4, 8, 0.3, 99
-        payoffs = PayoffMatrix()
         rng = substream(seed, 0)
         env = tuple(rng.random() < 0.5 for _ in range(m))
         initial = tuple(rng.random() < 0.5 for _ in range(n))
@@ -190,7 +191,7 @@ class TestReplay:
         expected_winner = max(range(n), key=lambda i: (totals[i], -i))
         report = run_coop_experiment(
             CoopConfig(env_size=m, population=n, flip_probability=p,
-                       repetitions=1, seed=seed))
+                       repetitions=1, seed=seed), payoffs)
         rep = report.repetitions[0]
         assert rep.env_coop_count == sum(env)
         assert rep.winner_index == expected_winner

@@ -1,4 +1,5 @@
-"""Golden stdout digests: every subcommand at its defaults, frozen.
+"""Golden stdout digests: every subcommand at its defaults, plus a few
+non-default runs, frozen.
 
 The SHA-256 of each command's stdout was recorded once, before the Life
 step and the glider detection were rewritten for speed, and must never
@@ -32,6 +33,15 @@ GOLDEN = {
     "market --format csv": "7ef716ad2f1ab8e27365fefe63c2ad931a834dae24b1987e5c5f15be64af7091",
     "theorem": "51bf9ad46b672c485c2f15f718e7ef2062a9f94655ebb858b1f134a059c001d7",
     "life scene.txt": "0f5278bb03b3deb1c895f60ba1c33969468f144e2cd9351bac7f492a4c8b1fec",
+    # Non-default runs of the experiment kernels and the witness scan,
+    # recorded before each was rewritten to make a single pass.
+    "updown --n 13 --format csv": "a9865ccbbf3302cb7b1eb1578f080506a14c04a709cc941c39c7d8fbab7348c1",
+    "coop --env-size 7 --population 50 --flip-probability 0.3 --reps 30 --seed 5":
+        "3fedaa676f47d295eb78d0601ff818be78fe6dfdc8d7a3f7078dbc0e724e6eef",
+    "market --tests 20 --group-size 7 --days 3 --seed 9 --format csv":
+        "bfaed8ef018b4c5acaf423fa90c4fb36442b44d3a31a420ccc78b7139a742cc7",
+    "theorem --trials 3000 --max-len 40 --seed 5":
+        "5e5ed4695687f15d207301cc8ccef4f948298a0f95047cab679254289dce7f13",
 }
 
 SEEDED = ("coop", "market", "theorem")

@@ -51,6 +51,9 @@ class TestPriceDynamics:
             PriceDynamics(initial_price=950, targets=(900, 900, 900))
         with pytest.raises(ValueError):
             PriceDynamics(initial_price=900, targets=(900, 901, 900))
+        for days in (0, -3):
+            with pytest.raises(ValueError, match=f"at least one day, got {days}"):
+                CONSTANT[900].path(days)
 
     def test_sampling_covers_all_maps(self):
         rng = random.Random(11)
@@ -199,6 +202,18 @@ class TestExperiment:
             run_market_experiment(group_size=0)
         with pytest.raises(ValueError):
             run_market_experiment(tests=1, days=0)
+
+    def test_one_price_path_per_test(self, monkeypatch):
+        calls = []
+        path = PriceDynamics.path
+
+        def counted(self, days=DAYS_PER_WEEK):
+            calls.append(days)
+            return path(self, days)
+
+        monkeypatch.setattr(PriceDynamics, "path", counted)
+        run_market_experiment(tests=3, group_size=4)
+        assert calls == [DAYS_PER_WEEK] * 3
 
     def test_first_test_replayed_by_hand(self):
         """Re-derive test 0 from the documented draw order."""
