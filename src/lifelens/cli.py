@@ -78,10 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_viewport(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("viewport must be X0,Y0,WIDTH,HEIGHT")
-    x0, y0, w, h = (int(p) for p in parts)
+    try:
+        x0, y0, w, h = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"viewport must be X0,Y0,WIDTH,HEIGHT integers, got {text!r}") from None
     if w < 0 or h < 0:
         raise ValueError("viewport width and height must be non-negative")
     return x0, y0, w, h

@@ -66,6 +66,10 @@ def sample_dynamics(rng: Random) -> PriceDynamics:
     return PriceDynamics(initial_price=rng.choice(PRICES), targets=targets)
 
 
+def _went_negative(cash: int, shares: int) -> ValueError:
+    return ValueError(f"portfolio went negative: cash={cash} shares={shares}")
+
+
 @dataclass(frozen=True)
 class Portfolio:
     """Holdings between trades; both components stay non-negative."""
@@ -75,7 +79,7 @@ class Portfolio:
 
     def __post_init__(self):
         if self.cash < 0 or self.shares < 0:
-            raise ValueError(f"portfolio went negative: cash={self.cash} shares={self.shares}")
+            raise _went_negative(self.cash, self.shares)
 
     def value(self, price: int) -> int:
         return self.cash + self.shares * price
@@ -122,15 +126,18 @@ class FreePolicy:
 def sample_consistent_policy(rng: Random) -> ConsistentPolicy:
     """Commitments drawn uniform over what the starting portfolio could
     execute at each price, in price order."""
-    start = Portfolio(START_CASH, START_SHARES)
     return ConsistentPolicy(tuple(
-        rng.randint(-start.shares, start.max_buy(price)) for price in PRICES
+        rng.randint(-START_SHARES, START_CASH // price) for price in PRICES
     ))
 
 
 def _run_week(path: tuple[int, ...], policy: TraderPolicy, rng: Random) -> tuple[int, int]:
     """(final capital, number of clamped trades) for one trader's week
-    along a price path."""
+    along a price path.
+
+    This is the reference path for any `TraderPolicy`;
+    `run_market_experiment` plays the same weeks on plain ints.
+    """
     portfolio = Portfolio(START_CASH, START_SHARES)
     clamped = 0
     for price in path:
@@ -187,6 +194,10 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     Draw order within a test: the dynamics, then group A (per trader:
     the three committed trades, then the week), then group B (per
     trader: one trade per day). Bests are exact integer maxima.
+
+    Weeks are played on plain (cash, shares) ints, with the clamping
+    and the non-negativity check of `Portfolio`; `_run_week` with
+    `ConsistentPolicy` and `FreePolicy` is the reference path.
     """
     if tests < 1 or group_size < 1:
         raise ValueError("tests and group_size must be positive")
@@ -197,21 +208,33 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         rng = substream(seed, t)
         dynamics = sample_dynamics(rng)
         path = dynamics.path(days)
-        best_a: int | None = None
+        week = [(price, PRICES.index(price)) for price in path]
+        last = path[-1]
+        best_a = best_b = -1
         for _ in range(group_size):
-            policy = sample_consistent_policy(rng)
-            capital, clamped = _run_week(path, policy, rng)
-            clamped_total += clamped
-            if best_a is None or capital > best_a:
-                best_a = capital
-        best_b: int | None = None
-        free = FreePolicy()
+            trades = sample_consistent_policy(rng).trades
+            cash, shares = START_CASH, START_SHARES
+            for price, level in week:
+                intended = trades[level]
+                trade = max(-shares, min(intended, cash // price))
+                if trade != intended:
+                    clamped_total += 1
+                cash -= trade * price
+                shares += trade
+                if cash < 0 or shares < 0:
+                    raise _went_negative(cash, shares)
+            if cash + shares * last > best_a:
+                best_a = cash + shares * last
         for _ in range(group_size):
-            capital, clamped = _run_week(path, free, rng)
-            clamped_total += clamped
-            if best_b is None or capital > best_b:
-                best_b = capital
-        assert best_a is not None and best_b is not None
+            cash, shares = START_CASH, START_SHARES
+            for price in path:
+                trade = rng.randint(-shares, cash // price)
+                cash -= trade * price
+                shares += trade
+                if cash < 0 or shares < 0:
+                    raise _went_negative(cash, shares)
+            if cash + shares * last > best_b:
+                best_b = cash + shares * last
         result = MarketTest(
             index=t,
             initial_price=dynamics.initial_price,

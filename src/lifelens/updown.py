@@ -136,14 +136,12 @@ def victories_dp(strategy: Strategy) -> VictoryCount:
     """
     dp = [1]
     for w in strategy.words:
-        prefix = [0]
-        for v in dp:
-            prefix.append(prefix[-1] + v)
-        size = len(dp)
+        prefix = list(itertools.accumulate(dp, initial=0))
         if w == UP:
-            dp = [prefix[j] for j in range(size + 1)]
+            dp = prefix
         else:
-            dp = [prefix[size] - prefix[j] for j in range(size + 1)]
+            total = prefix[-1]
+            dp = [total - p for p in prefix]
     n = strategy.deck_size
     return VictoryCount(wins=sum(dp), total=factorial(n))
 

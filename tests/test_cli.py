@@ -69,9 +69,11 @@ class TestLife:
     def test_bad_viewport(self, capsys, tmp_path):
         pattern = tmp_path / "p.txt"
         pattern.write_text("O\n")
-        code, _, err = run_cli(capsys, "life", str(pattern), "--viewport", "1,2,3")
-        assert code == 2
-        assert "viewport" in err
+        for viewport in ("1,2,3", "a,b,c,d", ",,,"):
+            code, out, err = run_cli(capsys, "life", str(pattern), "--viewport", viewport)
+            assert (code, out) == (2, "")
+            assert err == ("lifelens life: viewport must be X0,Y0,WIDTH,HEIGHT "
+                           f"integers, got '{viewport}'\n")
 
     def test_negative_steps(self, capsys, tmp_path):
         pattern = tmp_path / "p.txt"

@@ -42,6 +42,15 @@ GOLDEN = {
         "bfaed8ef018b4c5acaf423fa90c4fb36442b44d3a31a420ccc78b7139a742cc7",
     "theorem --trials 3000 --max-len 40 --seed 5":
         "5e5ed4695687f15d207301cc8ccef4f948298a0f95047cab679254289dce7f13",
+    # Recorded before market weeks moved onto plain ints and victories_dp
+    # onto accumulated prefix sums: long weeks with recurring prices and
+    # many clamped trades, one-day weeks, and a word past the table's n.
+    "market --tests 30 --group-size 25 --days 12 --seed 3":
+        "31b1b883bbe53ebb8c3d54ce2665832f244579e4e210ac68ca45bab814e77246",
+    "market --tests 40 --group-size 10 --days 1 --seed 8 --format csv":
+        "3ccb6da337ce4ad36a04373af259bbe786a56ce83901b64ca43e58ba59925db1",
+    "updown --strategy UDDUUDUDDDUUUDUDDUUDDDUU":
+        "cc14a7d480d6a70b8f6fdaf8554b7953d49add5dc0690bb7669b9ad549574aec",
 }
 
 SEEDED = ("coop", "market", "theorem")

@@ -2,13 +2,15 @@
 
 The capital numbers below are hand-walked: start with 10000 cash and 10
 shares, apply each day's trade at that day's price, value at the final
-price. The replay test re-executes the documented draw order to pin the
-stream layout; the A-versus-B rate bounds live in test_acceptance.py.
+price. The replay tests re-execute the documented draw order through the
+`Portfolio` path to pin the stream layout and the experiment's int
+kernel; the A-versus-B rate bounds live in test_acceptance.py.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lifelens.market import (
     ConsistentPolicy,
@@ -20,6 +22,7 @@ from lifelens.market import (
     PriceDynamics,
     START_CASH,
     START_SHARES,
+    _run_week,
     run_market_experiment,
     sample_consistent_policy,
     sample_dynamics,
@@ -230,3 +233,24 @@ class TestExperiment:
         assert t0.transition_digits == dynamics.digits
         assert t0.best_consistent == best_a
         assert t0.best_free == best_b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12),
+           st.integers(1, 12))
+    def test_whole_report_replayed_through_portfolios(self, seed, tests, group, days):
+        """Every test and the clamp count, re-derived by `_run_week`."""
+        expected = []
+        clamped_total = 0
+        for t in range(tests):
+            rng = substream(seed, t)
+            dynamics = sample_dynamics(rng)
+            path = dynamics.path(days)
+            bests = []
+            for draw_policy in (lambda: sample_consistent_policy(rng), FreePolicy):
+                weeks = [_run_week(path, draw_policy(), rng) for _ in range(group)]
+                bests.append(max(capital for capital, _ in weeks))
+                clamped_total += sum(clamped for _, clamped in weeks)
+            expected.append(MarketTest(t, dynamics.initial_price, dynamics.digits, *bests))
+        report = run_market_experiment(tests=tests, group_size=group, days=days, seed=seed)
+        assert report.results == tuple(expected)
+        assert report.clamped_trades == clamped_total
