@@ -1,5 +1,12 @@
-"""Command line front end. Exit codes: 0 success, 1 theorem violation,
-2 usage or input errors. Output is a pure function of flags and seed."""
+"""Command line front end. Output is a pure function of flags and seed.
+
+Exit codes: 0 success, 1 theorem violation, 2 usage or input error.
+Subcommands report bad input by raising ValueError. main turns any
+ValueError a subcommand raises, internal invariants such as the market's
+no-negative-portfolio check included, into exit 2 with one
+`lifelens <command>: <reason>` line on stderr. Subcommands check their
+input before they print, so stdout stays empty on exit 2.
+"""
 
 from __future__ import annotations
 
@@ -106,27 +113,15 @@ def cmd_life(args) -> int:
         with open(args.pattern, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        print(f"lifelens life: cannot read {args.pattern}: {exc.strerror}", file=sys.stderr)
-        return 2
-    try:
-        initial = ca.parse_pattern(_decode_ascii(data))
-        if args.steps < 0:
-            raise ValueError("steps must be non-negative")
-        viewport = _parse_viewport(args.viewport) if args.viewport else None
-    except ValueError as exc:
-        print(f"lifelens life: {exc}", file=sys.stderr)
-        return 2
-    trace = ca.run(initial, args.steps)
-    if viewport is None:
-        boxes = [b for b in (s.bounding_box() for s in trace) if b is not None]
-        if boxes:
-            x0 = min(b[0] for b in boxes)
-            y0 = min(b[1] for b in boxes)
-            x1 = max(b[2] for b in boxes)
-            y1 = max(b[3] for b in boxes)
-            viewport = (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-        else:
-            viewport = (0, 0, 0, 0)
+        raise ValueError(f"cannot read {args.pattern}: {exc.strerror}") from None
+    trace = ca.run(ca.parse_pattern(_decode_ascii(data)), args.steps)
+    if args.viewport:
+        viewport = _parse_viewport(args.viewport)
+    else:
+        # The joint bounding box of all states; 0x0 when every state is empty.
+        box = ca.CAState(frozenset().union(*(s.live for s in trace))).bounding_box()
+        x0, y0, x1, y1 = box or (0, 0, -1, -1)
+        viewport = (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
     for t, state in enumerate(trace):
         if t:
             print()
@@ -149,18 +144,15 @@ def _witness_text(witness: observe.Witness | None) -> str:
 
 
 def cmd_observe(args) -> int:
-    if args.steps < 0:
-        print("lifelens observe: steps must be non-negative", file=sys.stderr)
-        return 2
     trace = ca.run(_SCENES[args.scene](), args.steps)
     pt = observe.perceive_trace(observe.glider_observer(), trace)
     episodes = observe.extract_entities(pt)
+    witnesses = [(observe.is_contradictory(ep), observe.is_deterministic_env(ep))
+                 for ep in episodes]
     if args.format == "csv":
         print("start,end,intelligence,terminated,contradictory,witness_a,witness_b,"
               "env_deterministic,env_witness_a,env_witness_b")
-        for ep in episodes:
-            c = observe.is_contradictory(ep)
-            d = observe.is_deterministic_env(ep)
+        for ep, (c, d) in zip(episodes, witnesses):
             print(",".join(str(v) for v in (
                 ep.start, ep.start + ep.q, observe.intelligence(ep),
                 ep.terminated,
@@ -173,9 +165,7 @@ def cmd_observe(args) -> int:
     print("perceived trace:")
     print(observe.format_perceived_trace(pt))
     print(f"episodes: {len(episodes)}")
-    for k, ep in enumerate(episodes):
-        contradiction = observe.is_contradictory(ep)
-        determinism = observe.is_deterministic_env(ep)
+    for k, (ep, (contradiction, determinism)) in enumerate(zip(episodes, witnesses)):
         end = ep.start + ep.q
         print(f"episode {k}: lifetime {{{ep.start}..{end}}}, "
               f"intelligence {observe.intelligence(ep)}, "
@@ -188,15 +178,10 @@ def cmd_observe(args) -> int:
 
 def cmd_updown(args) -> int:
     if args.strategy is not None:
-        try:
-            strategy = updown.Strategy.from_text(args.strategy)
-        except ValueError as exc:
-            print(f"lifelens updown: {exc}", file=sys.stderr)
-            return 2
+        strategy = updown.Strategy.from_text(args.strategy)
         if args.n is not None and args.n != strategy.deck_size:
-            print(f"lifelens updown: strategy {strategy} implies n={strategy.deck_size}, "
-                  f"got --n {args.n}", file=sys.stderr)
-            return 2
+            raise ValueError(f"strategy {strategy} implies n={strategy.deck_size}, "
+                             f"got --n {args.n}")
         count = updown.victories_dp(strategy)
         if args.format == "csv":
             print("strategy,wins,total")
@@ -204,12 +189,7 @@ def cmd_updown(args) -> int:
         else:
             print(f"strategy {strategy}: wins {count.wins} of {count.total} decks")
         return 0
-    n = args.n if args.n is not None else 10
-    try:
-        rows = updown.victory_table(n)
-    except ValueError as exc:
-        print(f"lifelens updown: {exc}", file=sys.stderr)
-        return 2
+    rows = updown.victory_table(args.n if args.n is not None else 10)
     if args.format == "csv":
         print("strategy,wins,total")
         for s, c in rows:
@@ -224,17 +204,13 @@ def cmd_updown(args) -> int:
 
 
 def cmd_coop(args) -> int:
-    try:
-        config = coop.CoopConfig(
-            env_size=args.env_size,
-            population=args.population,
-            flip_probability=args.flip_probability,
-            repetitions=args.reps,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"lifelens coop: {exc}", file=sys.stderr)
-        return 2
+    config = coop.CoopConfig(
+        env_size=args.env_size,
+        population=args.population,
+        flip_probability=args.flip_probability,
+        repetitions=args.reps,
+        seed=args.seed,
+    )
     report = coop.run_coop_experiment(config)
     if args.format == "csv":
         print("rep,env_coop_count,winner_index,winner_payoff,winner_contradictory,"
@@ -260,12 +236,8 @@ def cmd_coop(args) -> int:
 
 
 def cmd_market(args) -> int:
-    try:
-        report = market.run_market_experiment(
-            tests=args.tests, group_size=args.group_size, days=args.days, seed=args.seed)
-    except ValueError as exc:
-        print(f"lifelens market: {exc}", file=sys.stderr)
-        return 2
+    report = market.run_market_experiment(
+        tests=args.tests, group_size=args.group_size, days=args.days, seed=args.seed)
     if args.format == "csv":
         print("test,initial_price,transition,best_consistent,best_free,comparison")
         for row in report.results:
@@ -285,10 +257,6 @@ def cmd_market(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    if args.trials < 0 or args.max_len < 1:
-        print("lifelens theorem: trials must be non-negative and max-len positive",
-              file=sys.stderr)
-        return 2
     report = observe.run_theorem_check(trials=args.trials, seed=args.seed,
                                        max_len=args.max_len)
     print(f"exhaustive sweep: {report.exhaustive_episodes} episodes, "
@@ -310,7 +278,11 @@ def main(argv: list[str] | None = None) -> int:
         "market": cmd_market,
         "theorem": cmd_theorem,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        print(f"lifelens {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -519,6 +519,8 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     episodes and constructed deterministic-environment episodes so the
     premises are actually exercised.
     """
+    if trials < 0 or max_len < 1:
+        raise ValueError("trials must be non-negative and max-len positive")
     violations = 0
     exhaustive = 0
     exhaustive_premises = 0

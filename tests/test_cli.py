@@ -75,12 +75,6 @@ class TestLife:
             assert err == ("lifelens life: viewport must be X0,Y0,WIDTH,HEIGHT "
                            f"integers, got '{viewport}'\n")
 
-    def test_negative_steps(self, capsys, tmp_path):
-        pattern = tmp_path / "p.txt"
-        pattern.write_text("O\n")
-        code, _, err = run_cli(capsys, "life", str(pattern), "--steps", "-1")
-        assert code == 2
-
     def test_non_ascii_byte_reports_position(self, capsys, tmp_path):
         pattern = tmp_path / "accent.txt"
         pattern.write_bytes("O.\n.O\u00e9\n".encode("utf-8"))
@@ -177,10 +171,6 @@ class TestUpdown:
         assert code == 2
         assert "'X'" in err
 
-    def test_n_out_of_range(self, capsys):
-        assert run_cli(capsys, "updown", "--n", "1")[0] == 2
-        assert run_cli(capsys, "updown", "--n", "17")[0] == 2
-
     def test_table_runs_the_dp_once_per_word(self, capsys, monkeypatch):
         calls = []
         dp = updown.victories_dp
@@ -253,10 +243,6 @@ class TestMarket:
             assert len(fields) == 6
             assert fields[5] in ("A>B", "B>A", "tie")
 
-    def test_invalid_tests(self, capsys):
-        code, _, err = run_cli(capsys, "market", "--tests", "0")
-        assert code == 2
-
     @pytest.mark.parametrize("days", ["0", "-3"])
     def test_week_without_days_is_rejected(self, capsys, days):
         code, out, err = run_cli(capsys, "market", "--days", days)
@@ -275,9 +261,57 @@ class TestTheorem:
         assert lines[1].startswith("randomized sweep: 60 episodes, ")
         assert lines[2] == "violations: 0"
 
-    def test_invalid_arguments(self, capsys):
-        assert run_cli(capsys, "theorem", "--trials", "-1")[0] == 2
-        assert run_cli(capsys, "theorem", "--max-len", "0")[0] == 2
+
+# Rows are (id, argv, pattern). PATH in argv stands for a path under
+# tmp_path that holds the pattern's bytes, is a directory (DIR) or does
+# not exist (None).
+PATH = "<pattern>"
+DIR = object()
+BAD_INPUTS = [
+    ("life-missing-file", ("life", PATH), None),
+    ("life-directory", ("life", PATH), DIR),
+    ("life-bad-character", ("life", PATH), b"O?\n"),
+    ("life-non-ascii-byte", ("life", PATH), "O.\n.O\u00e9\n".encode("utf-8")),
+    ("life-bad-viewport", ("life", PATH, "--viewport", "0,0,-1,2"), b"O\n"),
+    ("life-negative-steps", ("life", PATH, "--steps", "-1"), b"O\n"),
+    ("observe-negative-steps", ("observe", "--steps", "-2"), None),
+    ("updown-n-1", ("updown", "--n", "1"), None),
+    ("updown-n-17", ("updown", "--n", "17"), None),
+    ("updown-bad-strategy", ("updown", "--strategy", "UDX"), None),
+    ("updown-strategy-n-mismatch", ("updown", "--strategy", "UDU", "--n", "5"), None),
+    ("coop-population-0", ("coop", "--population", "0"), None),
+    ("coop-flip-probability-2", ("coop", "--flip-probability", "2"), None),
+    ("market-tests-0", ("market", "--tests", "0"), None),
+    ("market-days-0", ("market", "--days", "0"), None),
+    ("theorem-trials-negative", ("theorem", "--trials", "-1"), None),
+    ("theorem-max-len-0", ("theorem", "--max-len", "0"), None),
+]
+
+
+class TestBadInput:
+    """Bad input exits 2 with nothing on stdout and one stderr line."""
+
+    @pytest.mark.parametrize("argv, pattern",
+                             [row[1:] for row in BAD_INPUTS],
+                             ids=[row[0] for row in BAD_INPUTS])
+    def test_exits_2_with_one_stderr_line(self, capsys, tmp_path, argv, pattern):
+        path = tmp_path / "pattern.txt"
+        if pattern is DIR:
+            path.mkdir()
+        elif pattern is not None:
+            path.write_bytes(pattern)
+        code, out, err = run_cli(capsys, *(str(path) if a == PATH else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"lifelens {argv[0]}: ")
+        assert err.endswith("\n") and err.count("\n") == 1
+
+    def test_module_entry_point_exits_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lifelens", "observe", "--steps", "-2"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("lifelens observe: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestDispatch:

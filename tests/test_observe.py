@@ -33,6 +33,7 @@ from lifelens.observe import (
     perceive_trace,
     random_deterministic_episode,
     random_episode,
+    run_theorem_check,
 )
 
 ENTS = ("A", "B", "C")
@@ -273,6 +274,14 @@ class TestProposition:
             premise_cases += verdict.premises_hold
             assert not verdict.violation
         assert premise_cases > 0
+
+
+class TestTheoremCheck:
+    @pytest.mark.parametrize("trials, max_len", [(-1, 200), (0, 0), (2, 0)])
+    def test_rejects_bad_arguments(self, trials, max_len):
+        with pytest.raises(ValueError,
+                           match="^trials must be non-negative and max-len positive$"):
+            run_theorem_check(trials=trials, seed=1, max_len=max_len)
 
 
 class TestDualView:
