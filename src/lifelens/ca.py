@@ -8,7 +8,7 @@ for dead cells and 'O' for live ones, one row per line, top row first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Cell = tuple[int, int]
 """Lattice position as (x, y): x grows rightward, y downward (text rows)."""
@@ -29,13 +29,6 @@ class CAState:
     """One automaton state: the finite set of cells holding value 1."""
 
     live: frozenset[Cell] = frozenset()
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Cell]) -> "CAState":
-        return cls(frozenset(cells))
-
-    def is_live(self, cell: Cell) -> bool:
-        return cell in self.live
 
     @property
     def population(self) -> int:

@@ -90,8 +90,6 @@ def _parse_viewport(text: str) -> tuple[int, int, int, int]:
     except ValueError:
         raise ValueError(
             f"viewport must be X0,Y0,WIDTH,HEIGHT integers, got {text!r}") from None
-    if w < 0 or h < 0:
-        raise ValueError("viewport width and height must be non-negative")
     return x0, y0, w, h
 
 
@@ -122,11 +120,12 @@ def cmd_life(args) -> int:
         box = ca.CAState(frozenset().union(*(s.live for s in trace))).bounding_box()
         x0, y0, x1, y1 = box or (0, 0, -1, -1)
         viewport = (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-    for t, state in enumerate(trace):
+    # Render every frame first, so a bad viewport leaves stdout empty.
+    frames = [ca.render_pattern(state, viewport) for state in trace]
+    for t, frame in enumerate(frames):
         if t:
             print()
         print(f"t={t}")
-        frame = ca.render_pattern(state, viewport)
         if frame:
             print(frame)
     return 0
@@ -139,8 +138,8 @@ _SCENES = {
 }
 
 
-def _witness_text(witness: observe.Witness | None) -> str:
-    return f"yes, witness ({witness.a}, {witness.b})" if witness else "no"
+def _witness_text(witness: observe.Witness | None, found: str, absent: str) -> str:
+    return f"{found}, witness ({witness.a}, {witness.b})" if witness else absent
 
 
 def cmd_observe(args) -> int:
@@ -170,9 +169,8 @@ def cmd_observe(args) -> int:
         print(f"episode {k}: lifetime {{{ep.start}..{end}}}, "
               f"intelligence {observe.intelligence(ep)}, "
               f"terminated {'yes' if ep.terminated else 'no (trace ended)'}")
-        print(f"  contradictory: {_witness_text(contradiction)}")
-        print(f"  deterministic environment: "
-              f"{'yes' if determinism is None else 'no, witness (%d, %d)' % (determinism.a, determinism.b)}")
+        print(f"  contradictory: {_witness_text(contradiction, 'yes', 'no')}")
+        print(f"  deterministic environment: {_witness_text(determinism, 'no', 'yes')}")
     return 0
 
 

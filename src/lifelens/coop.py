@@ -138,6 +138,11 @@ class CoopReport:
     mean_payoff_noncoop: float
 
 
+def _mean(total: float, count: int) -> float:
+    """total / count, or NaN when nothing was counted."""
+    return total / count if count else float("nan")
+
+
 def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix()) -> CoopReport:
     """Run all repetitions; repetition r draws from substream(seed, r).
 
@@ -192,7 +197,6 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
             totals.append(total)
 
         rep_sum = sum(totals)
-        rep_noncoop_meetings = n * m - rep_coop_meetings
         winner_initial = initial[winner_index]
         winner = IndividualRecord(
             initial_stance=_BY_BOOL[winner_initial],
@@ -214,13 +218,10 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
             noncontradictory_fraction=noncontra / n,
             min_payoff=min(totals),
             max_payoff=max(totals),
-            mean_payoff_coop=(rep_coop_sum / rep_coop_meetings
-                              if rep_coop_meetings else float("nan")),
-            mean_payoff_noncoop=((rep_sum - rep_coop_sum) / rep_noncoop_meetings
-                                 if rep_noncoop_meetings else float("nan")),
+            mean_payoff_coop=_mean(rep_coop_sum, rep_coop_meetings),
+            mean_payoff_noncoop=_mean(rep_sum - rep_coop_sum, n * m - rep_coop_meetings),
         ))
 
-    noncoop_meetings = n * m * config.repetitions - coop_meetings
     return CoopReport(
         config=config,
         payoffs=payoffs,
@@ -228,7 +229,7 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
         repetitions=tuple(results),
         contradictory_winner_pct=100.0 * contradictory_winners / config.repetitions,
         noncontradictory_fraction=noncontra_total / (n * config.repetitions),
-        mean_payoff_coop=coop_sum / coop_meetings if coop_meetings else float("nan"),
-        mean_payoff_noncoop=((payoff_sum - coop_sum) / noncoop_meetings
-                             if noncoop_meetings else float("nan")),
+        mean_payoff_coop=_mean(coop_sum, coop_meetings),
+        mean_payoff_noncoop=_mean(payoff_sum - coop_sum,
+                                  n * m * config.repetitions - coop_meetings),
     )

@@ -96,9 +96,6 @@ class PerceivedTrace:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __getitem__(self, t: int) -> tuple[Label, Label]:
-        return self.pairs[t]
-
 
 def perceive_trace(observer: Observer, trace: Trace) -> PerceivedTrace:
     """Apply both perception functions to every state of the trace."""
@@ -418,8 +415,6 @@ def glider_observer() -> Observer:
 
 def _label_text(label: Label) -> str:
     """Compact, space-free, deterministic rendering of one label."""
-    if label is ZERO:
-        return "0"
     if isinstance(label, frozenset):
         if not label:
             return "{}"
@@ -439,6 +434,17 @@ def format_perceived_trace(pt: PerceivedTrace) -> str:
 # Episode generators used by the theorem checker (CLI) and the test suite
 
 
+def _check_episode_args(ent_labels: Sequence[Label], env_labels: Sequence[Label],
+                        max_len: int) -> None:
+    """The generators' one argument rule, checked before any draw."""
+    if not ent_labels or not env_labels:
+        raise ValueError("both label alphabets must be nonempty")
+    if any(e is ZERO for e in ent_labels):
+        raise ValueError("ent_labels must not include ZERO")
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+
+
 def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[Label],
                              max_len: int) -> Iterator[ObservedEpisode]:
     """Every terminated episode over the given alphabets, lifetimes 1..max_len.
@@ -447,8 +453,7 @@ def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[L
     contents directly, which covers every terminated episode extractable
     from any trace over the same alphabets.
     """
-    if any(e is ZERO for e in ent_labels):
-        raise ValueError("ent_labels must not include ZERO")
+    _check_episode_args(ent_labels, env_labels, max_len)
     for length in range(1, max_len + 1):
         for ents in itertools.product(ent_labels, repeat=length):
             for envs in itertools.product(env_labels, repeat=length):
@@ -465,6 +470,7 @@ def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[L
 def random_episode(rng: random.Random, ent_labels: Sequence[Label],
                    env_labels: Sequence[Label], max_len: int) -> ObservedEpisode:
     """A uniformly scrambled episode; terminated with probability 1/2."""
+    _check_episode_args(ent_labels, env_labels, max_len)
     length = rng.randint(1, max_len)
     ents = tuple(rng.choice(ent_labels) for _ in range(length))
     envs = tuple(rng.choice(env_labels) for _ in range(length))
@@ -481,6 +487,7 @@ def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label]
     environment) pair by construction, so is_deterministic_env returns
     None for every episode generated here.
     """
+    _check_episode_args(ent_labels, env_labels, max_len)
     table = {
         (e, v): rng.choice(env_labels)
         for e in ent_labels for v in env_labels
@@ -519,8 +526,9 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     episodes and constructed deterministic-environment episodes so the
     premises are actually exercised.
     """
-    if trials < 0 or max_len < 1:
-        raise ValueError("trials must be non-negative and max-len positive")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    _check_episode_args(_ENT_ALPHABET, _ENV_ALPHABET, max_len)
     violations = 0
     exhaustive = 0
     exhaustive_premises = 0

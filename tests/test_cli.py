@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
-from lifelens import updown
+from lifelens import observe, updown
 from lifelens.cli import main
+from lifelens.observe import ZERO, Observer
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,21 @@ class TestObserve:
                                "--steps", "6")
         assert code == 0
         assert "terminated no (trace ended)" in out
+
+    def test_witness_wordings(self, capsys, monkeypatch):
+        # One entity label and a population-mod-3 environment: the scene
+        # then repeats label pairs, so both witness branches print.
+        monkeypatch.setattr(observe, "glider_observer", lambda: Observer(
+            ps_ent=lambda s: "A" if s.live else ZERO,
+            ps_env=lambda s: s.population % 3))
+        code, out, _ = run_cli(capsys, "observe")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  contradictory: yes, witness (0, 17)" in lines
+        assert "  deterministic environment: no, witness (0, 14)" in lines
+        code, out, _ = run_cli(capsys, "observe", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,17,17,True,True,0,17,False,0,14"]
 
     def test_negative_steps(self, capsys):
         code, _, err = run_cli(capsys, "observe", "--steps", "-2")

@@ -7,6 +7,7 @@ same properties run on smaller randomized batches.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,11 +277,41 @@ class TestProposition:
         assert premise_cases > 0
 
 
+class TestEpisodeGenerators:
+    GENERATORS = {
+        "iter_terminated_episodes":
+            lambda rng, *args: next(iter_terminated_episodes(*args)),
+        "random_episode": random_episode,
+        "random_deterministic_episode": random_deterministic_episode,
+    }
+    BAD_ARGS = [
+        ("max-len-0", ENTS, ENVS, 0, "max_len must be at least 1, got 0"),
+        ("max-len-negative", ENTS, ENVS, -1, "max_len must be at least 1, got -1"),
+        ("no-entity-labels", (), ENVS, 5, "both label alphabets must be nonempty"),
+        ("no-environment-labels", ENTS, (), 5, "both label alphabets must be nonempty"),
+        ("zero-entity-label", ("A", ZERO), ENVS, 5, "ent_labels must not include ZERO"),
+    ]
+
+    @pytest.mark.parametrize("generator", GENERATORS.values(), ids=GENERATORS.keys())
+    @pytest.mark.parametrize("ents, envs, max_len, message",
+                             [row[1:] for row in BAD_ARGS], ids=[row[0] for row in BAD_ARGS])
+    def test_rejects_bad_arguments_before_drawing(self, generator, ents, envs, max_len,
+                                                  message):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generator(rng, ents, envs, max_len)
+        assert rng.getstate() == state
+
+
 class TestTheoremCheck:
-    @pytest.mark.parametrize("trials, max_len", [(-1, 200), (0, 0), (2, 0)])
-    def test_rejects_bad_arguments(self, trials, max_len):
-        with pytest.raises(ValueError,
-                           match="^trials must be non-negative and max-len positive$"):
+    @pytest.mark.parametrize("trials, max_len, message", [
+        (-1, 200, "trials must be non-negative, got -1"),
+        (0, 0, "max_len must be at least 1, got 0"),
+        (2, 0, "max_len must be at least 1, got 0"),
+    ], ids=["-1-200", "0-0", "2-0"])
+    def test_rejects_bad_arguments(self, trials, max_len, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_theorem_check(trials=trials, seed=1, max_len=max_len)
 
 
