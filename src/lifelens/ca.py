@@ -15,7 +15,8 @@ Cell = tuple[int, int]
 
 
 class PatternError(ValueError):
-    """Pattern text contained a character other than '.', 'O' or a newline."""
+    r"""Pattern text contained a character other than '.', 'O' or a row
+    break. Rows end at "\n", "\r\n" or "\r" and nowhere else."""
 
     def __init__(self, line: int, column: int, found: str):
         super().__init__(f"line {line}, column {column}: unexpected character {found!r}")
@@ -66,15 +67,17 @@ class Trace:
 
 
 def parse_pattern(text: str) -> CAState:
-    """Read '.'/'O' pattern text; the top-left character is cell (0, 0).
+    r"""Read '.'/'O' pattern text; the top-left character is cell (0, 0).
 
+    Rows end at "\n", "\r\n" or "\r"; no other character breaks a row.
     Rows may differ in length (short rows are padded with dead cells,
-    conceptually). The empty string parses to the empty state. Any
-    character outside '.', 'O' and line breaks raises PatternError with
-    the offending 1-based line and column.
+    conceptually). The empty string parses to the empty state. Any other
+    character raises PatternError, which names the first one in reading
+    order by its 1-based line and column.
     """
     cells = set()
-    for row, line in enumerate(text.splitlines()):
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for row, line in enumerate(rows):
         for col, ch in enumerate(line):
             if ch == "O":
                 cells.add((col, row))

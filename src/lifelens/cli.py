@@ -93,26 +93,21 @@ def _parse_viewport(text: str) -> tuple[int, int, int, int]:
     return x0, y0, w, h
 
 
-def _decode_ascii(data: bytes) -> str:
-    """Pattern file bytes as text; a non-ASCII byte is a ValueError that
-    names its 1-based line and column."""
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # Count lines as parse_pattern does; the '.' stands in for the
-        # bad byte, so a line break just before it starts a new line.
-        lines = (data[:exc.start] + b".").decode("ascii").splitlines()
-        raise ValueError(f"line {len(lines)}, column {len(lines[-1])}: "
-                         f"non-ASCII byte {data[exc.start]:#04x}") from None
-
-
 def cmd_life(args) -> int:
     try:
         with open(args.pattern, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.pattern}: {exc.strerror}") from None
-    trace = ca.run(ca.parse_pattern(_decode_ascii(data)), args.steps)
+    # latin-1 maps each byte to one character, so columns are byte columns.
+    try:
+        initial = ca.parse_pattern(data.decode("latin-1"))
+    except ca.PatternError as exc:
+        if exc.found.isascii():
+            raise
+        raise ValueError(f"line {exc.line}, column {exc.column}: "
+                         f"non-ASCII byte {ord(exc.found):#04x}") from None
+    trace = ca.run(initial, args.steps)
     if args.viewport:
         viewport = _parse_viewport(args.viewport)
     else:
@@ -180,18 +175,16 @@ def cmd_updown(args) -> int:
         if args.n is not None and args.n != strategy.deck_size:
             raise ValueError(f"strategy {strategy} implies n={strategy.deck_size}, "
                              f"got --n {args.n}")
-        count = updown.victories_dp(strategy)
-        if args.format == "csv":
-            print("strategy,wins,total")
-            print(f"{strategy},{count.wins},{count.total}")
-        else:
-            print(f"strategy {strategy}: wins {count.wins} of {count.total} decks")
-        return 0
-    rows = updown.victory_table(args.n if args.n is not None else 10)
+        rows = [(strategy, updown.victories_dp(strategy))]
+    else:
+        rows = updown.victory_table(args.n if args.n is not None else 10)
     if args.format == "csv":
         print("strategy,wins,total")
         for s, c in rows:
             print(f"{s},{c.wins},{c.total}")
+    elif args.strategy is not None:
+        [(strategy, count)] = rows
+        print(f"strategy {strategy}: wins {count.wins} of {count.total} decks")
     else:
         for s, c in rows:
             print(f"{s} {c.wins:>12} / {c.total}")

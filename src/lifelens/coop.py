@@ -157,7 +157,6 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     gain = tuple(tuple(meeting_payoff(s, o, payoffs)[0] for o in _BY_BOOL) for s in _BY_BOOL)
 
     results = []
-    contradictory_winners = 0
     noncontra_total = 0
     coop_sum = coop_meetings = 0
     payoff_sum = 0
@@ -204,8 +203,6 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
             total_payoff=totals[winner_index],
             contradictory=any(s != winner_initial for s in winner_history),
         )
-        if winner.contradictory:
-            contradictory_winners += 1
         noncontra_total += noncontra
         coop_sum += rep_coop_sum
         coop_meetings += rep_coop_meetings
@@ -227,7 +224,8 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
         payoffs=payoffs,
         flip_probability=p,
         repetitions=tuple(results),
-        contradictory_winner_pct=100.0 * contradictory_winners / config.repetitions,
+        contradictory_winner_pct=(100.0 * sum(rep.winner.contradictory for rep in results)
+                                  / config.repetitions),
         noncontradictory_fraction=noncontra_total / (n * config.repetitions),
         mean_payoff_coop=_mean(coop_sum, coop_meetings),
         mean_payoff_noncoop=_mean(payoff_sum - coop_sum,

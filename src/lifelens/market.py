@@ -16,6 +16,7 @@ capital either group of 100 achieves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Protocol
@@ -202,7 +203,6 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     if tests < 1 or group_size < 1:
         raise ValueError("tests and group_size must be positive")
     results = []
-    a_gt_b = b_gt_a = ties = 0
     clamped_total = 0
     for t in range(tests):
         rng = substream(seed, t)
@@ -235,28 +235,22 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
                     raise _went_negative(cash, shares)
             if cash + shares * last > best_b:
                 best_b = cash + shares * last
-        result = MarketTest(
+        results.append(MarketTest(
             index=t,
             initial_price=dynamics.initial_price,
             transition_digits=dynamics.digits,
             best_consistent=best_a,
             best_free=best_b,
-        )
-        results.append(result)
-        if result.comparison == "A>B":
-            a_gt_b += 1
-        elif result.comparison == "B>A":
-            b_gt_a += 1
-        else:
-            ties += 1
+        ))
+    counts = Counter(r.comparison for r in results)
     return MarketReport(
         tests=tests,
         group_size=group_size,
         days=days,
         seed=seed,
         results=tuple(results),
-        count_a_gt_b=a_gt_b,
-        count_b_gt_a=b_gt_a,
-        count_tie=ties,
+        count_a_gt_b=counts["A>B"],
+        count_b_gt_a=counts["B>A"],
+        count_tie=counts["tie"],
         clamped_trades=clamped_total,
     )

@@ -41,6 +41,17 @@ class TestParsePattern:
     def test_ragged_rows_are_allowed(self):
         assert parse_pattern("O\n..O").live == {(0, 0), (2, 1)}
 
+    # str.splitlines breaks rows at each of these; a pattern row does not.
+    @pytest.mark.parametrize("ch", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                    "\x85", "\u2028", "\u2029"])
+    def test_other_line_breaks_are_bad_characters(self, ch):
+        with pytest.raises(PatternError) as err:
+            parse_pattern("O" + ch + "O")
+        assert (err.value.line, err.value.column, err.value.found) == (1, 2, ch)
+
+    def test_crlf_and_cr_end_a_row(self):
+        assert parse_pattern("O.\r\n.O\rOO") == parse_pattern("O.\n.O\nOO\n")
+
     @given(states)
     def test_render_parse_roundtrip(self, state):
         # Rendering anchors at the bounding box, so compare shapes.
