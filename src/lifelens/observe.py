@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .ca import Cell, CAState, Trace, life_step, GLIDER
 from .seeds import substream
@@ -529,40 +529,38 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     _check_episode_args(_ENT_ALPHABET, _ENV_ALPHABET, max_len)
-    violations = 0
-    exhaustive = 0
-    exhaustive_premises = 0
     space = PerceptionSpace(frozenset({ZERO, "A"}), frozenset({"X", "Y"}))
-    for ep in iter_terminated_episodes(("A",), ("X", "Y"), max_len=10):
-        verdict = check_proposition(ep, space)
-        exhaustive += 1
-        if verdict.premises_hold:
-            exhaustive_premises += 1
-        if verdict.violation:
-            violations += 1
-
-    randomized_premises = 0
-    for trial in range(trials):
-        rng = substream(seed, trial)
-        n_ent = rng.randint(1, 5)
-        n_env = rng.randint(1, 5)
-        ents = _ENT_ALPHABET[:n_ent]
-        envs = _ENV_ALPHABET[:n_env]
-        if trial % 2 == 0:
-            ep = random_deterministic_episode(rng, ents, envs, max_len)
-        else:
-            ep = random_episode(rng, ents, envs, max_len)
-        ep_space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
-        verdict = check_proposition(ep, ep_space)
-        if verdict.premises_hold:
-            randomized_premises += 1
-        if verdict.violation:
-            violations += 1
-
+    exhaustive, exhaustive_premises, exhaustive_violations = _tally(
+        check_proposition(ep, space)
+        for ep in iter_terminated_episodes(("A",), ("X", "Y"), max_len=10))
+    _, randomized_premises, randomized_violations = _tally(
+        _random_trial(seed, trial, max_len) for trial in range(trials))
     return TheoremCheckReport(
         exhaustive_episodes=exhaustive,
         exhaustive_premise_cases=exhaustive_premises,
         randomized_trials=trials,
         randomized_premise_cases=randomized_premises,
-        violations=violations,
+        violations=exhaustive_violations + randomized_violations,
     )
+
+
+def _random_trial(seed: int, trial: int, max_len: int) -> PropositionCheck:
+    """Verdict on one randomized episode. Even trials get a deterministic
+    environment by construction, odd trials an arbitrary one.
+    """
+    rng = substream(seed, trial)
+    ents = _ENT_ALPHABET[:rng.randint(1, 5)]
+    envs = _ENV_ALPHABET[:rng.randint(1, 5)]
+    generate = random_deterministic_episode if trial % 2 == 0 else random_episode
+    ep = generate(rng, ents, envs, max_len)
+    return check_proposition(ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs)))
+
+
+def _tally(verdicts: Iterable[PropositionCheck]) -> tuple[int, int, int]:
+    """(checks, premise cases, violations) over a stream of verdicts."""
+    checks = premises = violations = 0
+    for verdict in verdicts:
+        checks += 1
+        premises += verdict.premises_hold
+        violations += verdict.violation
+    return checks, premises, violations

@@ -1,8 +1,9 @@
 """Command line tests: exit codes, output shape, and frozen small outputs.
 
-Everything runs in-process through main(argv) except one subprocess
-check of the `python -m lifelens` entry point. Byte-identical
-repeatability across processes is asserted in test_acceptance.py.
+Everything runs in-process through main(argv) except the checks of the
+`python -m lifelens` entry point and of failed stdout writes, which need
+a process of their own. Byte-identical repeatability across processes is
+asserted in test_acceptance.py.
 """
 
 import errno
@@ -328,3 +329,70 @@ class TestDispatch:
             "strategy,wins,total",
             "UU,1,6", "UD,2,6", "DU,2,6", "DD,1,6",
         ]
+
+
+# Rows are (subcommand, phrase): each flag whose help names its default.
+# argparse wraps help at the terminal width, so whitespace is collapsed
+# before the substring check.
+HELP_DEFAULTS = [
+    ("life", "--steps STEPS updates to apply (default: 4)"),
+    ("observe", "--steps STEPS trace length in updates (default: 19)"),
+    ("updown", "--n N deck size (default: 10)"),
+    ("coop", "--env-size M environment members met per repetition (default: 20)"),
+    ("coop", "--population N players per repetition (default: 1000)"),
+    ("coop", "--reps REPS repetitions (default: 100)"),
+    ("coop", "--seed SEED base seed for all randomness (default: 271828)"),
+    ("market", "--tests TESTS independent tests (default: 50)"),
+    ("market", "--group-size GROUP_SIZE traders per group (default: 100)"),
+    ("market", "--days DAYS trading days per test (default: 7)"),
+    ("market", "--seed SEED base seed for all randomness (default: 271828)"),
+    ("theorem", "--trials TRIALS randomized episodes on top of the exhaustive sweep "
+                "(default: 10000)"),
+    ("theorem", "--max-len MAX_LEN largest randomized lifetime (default: 200)"),
+    ("theorem", "--seed SEED base seed for all randomness (default: 271828)"),
+]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, phrase", HELP_DEFAULTS)
+    def test_help_names_the_default(self, capsys, command, phrase):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert phrase in " ".join(capsys.readouterr().out.split())
+
+
+class TestWriteFailure:
+    """A failed stdout write exits 2 with one stderr line, no traceback.
+
+    These run in a subprocess: after a failed write main points fd 1 at
+    os.devnull, which in-process would repoint the test runner's own fd 1.
+    """
+
+    @staticmethod
+    def run(argv, stdout):
+        return subprocess.run([sys.executable, "-m", "lifelens", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk(self):
+        with open("/dev/full", "wb") as full:
+            proc = self.run(["observe"], full)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"lifelens observe: cannot write output: "
+                               f"{os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("argv", [("theorem", "--trials", "50"),
+                                      ("updown", "--n", "16")])
+    def test_closed_pipe(self, argv):
+        # The read end is closed before the child starts, so its first
+        # write meets a pipe with no reader.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"lifelens {argv[0]}: cannot write output: "
+                               f"{os.strerror(errno.EPIPE)}\n")
