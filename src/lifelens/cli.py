@@ -7,13 +7,17 @@ handler returns, so stdout stays empty on exit 2. Handlers report bad
 input by raising ValueError. main turns any ValueError a handler raises,
 internal invariants such as the market's no-negative-portfolio check
 included, into exit 2 with one `lifelens <command>: <reason>` line on
-stderr. A failed write to stdout, such as a closed pipe or a full disk,
-exits 2 the same way, with the reason `cannot write output: <strerror>`.
+stderr. A failed write to stdout, such as a closed pipe, a full disk or a
+descriptor closed at startup, exits 2 the same way, with the reason
+`cannot write output: <strerror>`. Exit 2 holds even when stderr cannot
+be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 
@@ -269,21 +273,34 @@ def cmd_theorem(args, out: list[str]) -> int:
     return 1 if report.violations else 0
 
 
+def _write(stream, lines: list[str]) -> None:
+    """Print lines to stream, or raise ValueError saying why that failed.
+
+    A stream of None (its file descriptor was closed at startup) fails
+    like a closed descriptor. After a failed write the stream's
+    descriptor points at os.devnull, so the exit-time flush of what is
+    still buffered cannot fail a second time.
+    """
+    if stream is None:
+        raise ValueError(f"cannot write output: {os.strerror(errno.EBADF)}")
+    try:
+        print(*lines, sep="\n", file=stream, flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise ValueError(f"cannot write output: {exc.strerror}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out: list[str] = []
     try:
         code = args.run(args, out)
-        try:
-            print(*out, sep="\n", flush=True)
-        except OSError as exc:
-            # Point fd 1 at os.devnull, so the exit-time flush of what is
-            # still buffered cannot fail a second time.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ValueError(f"cannot write output: {exc.strerror}") from None
+        _write(sys.stdout, out)
         return code
     except ValueError as exc:
-        print(f"lifelens {args.command}: {exc}", file=sys.stderr)
+        # Exit 2 even when stderr cannot take the reason either.
+        with contextlib.suppress(ValueError):
+            _write(sys.stderr, [f"lifelens {args.command}: {exc}"])
         return 2
 
 

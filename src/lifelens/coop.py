@@ -16,6 +16,7 @@ contradictory.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -149,12 +150,18 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     Draw order within a repetition: the m environment stances, then the n
     initial player stances, then per player (in index order) one flip
     decision before each meeting. True encodes COOP in the inner loop.
+
+    A player's flips are drawn as the list of meetings before which one
+    fired. Its stance is constant between flips, so its takes come from
+    per-stance prefix sums of `gain` over the environment row, one
+    difference per run of meetings.
     """
     m = config.env_size
     n = config.population
     p = config.resolved_flip_probability()
     # gain[stance][opponent]: the stance's take, indexed by is-COOP bools.
     gain = tuple(tuple(meeting_payoff(s, o, payoffs)[0] for o in _BY_BOOL) for s in _BY_BOOL)
+    meetings = range(m)
 
     results = []
     noncontra_total = 0
@@ -166,37 +173,44 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
         rand = rng.random
         env = tuple(rand() < 0.5 for _ in range(m))
         initial = tuple(rand() < 0.5 for _ in range(n))
+        # banked[stance][j]: the takes of the first j meetings played in stance.
+        banked = tuple(tuple(itertools.accumulate((row[o] for o in env), initial=0))
+                       for row in gain)
 
         totals: list[int] = []
         winner_index = 0
-        winner_history: list[bool] = []
+        winner_flips: list[int] = []
         noncontra = 0
         rep_coop_sum = rep_coop_meetings = 0
 
         for i in range(n):
+            flips = [j for j in meetings if rand() < p]
             stance = initial[i]
             total = 0
-            history = []
-            flipped = False
-            for opponent in env:
-                if rand() < p:
-                    stance = not stance
-                    flipped = True
-                history.append(stance)
-                take = gain[stance][opponent]
+            start = 0
+            for end in (*flips, m):
+                take = banked[stance][end] - banked[stance][start]
                 total += take
                 if stance:
                     rep_coop_sum += take
-                    rep_coop_meetings += 1
-            if not flipped:
+                    rep_coop_meetings += end - start
+                stance = not stance
+                start = end
+            if not flips:
                 noncontra += 1
             if not totals or total > totals[winner_index]:
                 winner_index = i
-                winner_history = history
+                winner_flips = flips
             totals.append(total)
 
-        rep_sum = sum(totals)
         winner_initial = initial[winner_index]
+        winner_history = []
+        stance = winner_initial
+        for j in meetings:
+            if j in winner_flips:
+                stance = not stance
+            winner_history.append(stance)
+        rep_sum = sum(totals)
         winner = IndividualRecord(
             initial_stance=_BY_BOOL[winner_initial],
             stance_history=tuple(_BY_BOOL[s] for s in winner_history),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Protocol
 
-from .seeds import DEFAULT_SEED, substream
+from .seeds import DEFAULT_SEED, below, substream
 
 PRICES = (900, 1000, 1100)
 DAYS_PER_WEEK = 7
@@ -193,8 +193,11 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     """Run all tests; test t draws from substream(seed, t).
 
     Draw order within a test: the dynamics, then group A (per trader:
-    the three committed trades, then the week), then group B (per
-    trader: one trade per day). Bests are exact integer maxima.
+    the three committed trades of `sample_consistent_policy`, then the
+    week), then group B (per trader: one `randint(-shares, cash //
+    price)` per day, as `FreePolicy` draws it). Bests are exact integer
+    maxima. The draws go through `seeds.below`, which consumes the
+    stream exactly as `randint` does.
 
     Weeks are played on plain (cash, shares) ints, with the clamping
     and the non-negativity check of `Portfolio`; `_run_week` with
@@ -202,6 +205,8 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     """
     if tests < 1 or group_size < 1:
         raise ValueError("tests and group_size must be positive")
+    # randint(-START_SHARES, START_CASH // price) is -START_SHARES + below(width).
+    widths = [START_SHARES + START_CASH // price + 1 for price in PRICES]
     results = []
     clamped_total = 0
     for t in range(tests):
@@ -212,7 +217,7 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         last = path[-1]
         best_a = best_b = -1
         for _ in range(group_size):
-            trades = sample_consistent_policy(rng).trades
+            trades = [below(rng, width) - START_SHARES for width in widths]
             cash, shares = START_CASH, START_SHARES
             for price, level in week:
                 intended = trades[level]
@@ -228,7 +233,7 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         for _ in range(group_size):
             cash, shares = START_CASH, START_SHARES
             for price in path:
-                trade = rng.randint(-shares, cash // price)
+                trade = below(rng, shares + cash // price + 1) - shares
                 cash -= trade * price
                 shares += trade
                 if cash < 0 or shares < 0:

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .ca import Cell, CAState, Trace, life_step, GLIDER
-from .seeds import substream
+from .seeds import below, choices, substream
 
 Label = Hashable
 """Perception labels are opaque; they only need equality and hashing."""
@@ -469,13 +469,20 @@ def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[L
 
 def random_episode(rng: random.Random, ent_labels: Sequence[Label],
                    env_labels: Sequence[Label], max_len: int) -> ObservedEpisode:
-    """A uniformly scrambled episode; terminated with probability 1/2."""
+    """A uniformly scrambled episode; terminated with probability 1/2.
+
+    Draw order: the lifetime `randint(1, max_len)`, then `choice(ent_labels)`
+    per step, then `choice(env_labels)` per step, then one `random()`; a
+    terminated episode ends with `choice(env_labels)` for the label after
+    its end.
+    """
     _check_episode_args(ent_labels, env_labels, max_len)
-    length = rng.randint(1, max_len)
-    ents = tuple(rng.choice(ent_labels) for _ in range(length))
-    envs = tuple(rng.choice(env_labels) for _ in range(length))
+    length = 1 + below(rng, max_len)
+    ents = choices(rng, ent_labels, length)
+    envs = choices(rng, env_labels, length)
     if rng.random() < 0.5:
-        return ObservedEpisode(0, ents, envs, (ZERO, rng.choice(env_labels)), True)
+        nxt_env = env_labels[below(rng, len(env_labels))]
+        return ObservedEpisode(0, ents, envs, (ZERO, nxt_env), True)
     return ObservedEpisode(0, ents, envs, None, False)
 
 
@@ -486,15 +493,18 @@ def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label]
     The next environment label is a function of the current (entity,
     environment) pair by construction, so is_deterministic_env returns
     None for every episode generated here.
+
+    Draw order: the transition map, one `choice(env_labels)` per
+    (entity, environment) pair with the entity label outer; then the
+    lifetime `randint(1, max_len)`, then `choice(ent_labels)` per step,
+    then `choice(env_labels)` for the first environment label.
     """
     _check_episode_args(ent_labels, env_labels, max_len)
-    table = {
-        (e, v): rng.choice(env_labels)
-        for e in ent_labels for v in env_labels
-    }
-    length = rng.randint(1, max_len)
-    ents = tuple(rng.choice(ent_labels) for _ in range(length))
-    envs = [rng.choice(env_labels)]
+    pairs = itertools.product(ent_labels, env_labels)
+    table = dict(zip(pairs, choices(rng, env_labels, len(ent_labels) * len(env_labels))))
+    length = 1 + below(rng, max_len)
+    ents = choices(rng, ent_labels, length)
+    envs = [env_labels[below(rng, len(env_labels))]]
     for i in range(length - 1):
         envs.append(table[(ents[i], envs[i])])
     nxt_env = table[(ents[-1], envs[-1])]
@@ -547,10 +557,13 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
 def _random_trial(seed: int, trial: int, max_len: int) -> PropositionCheck:
     """Verdict on one randomized episode. Even trials get a deterministic
     environment by construction, odd trials an arbitrary one.
+
+    Draw order: `randint(1, 5)` entity labels, `randint(1, 5)` environment
+    labels, then the episode.
     """
     rng = substream(seed, trial)
-    ents = _ENT_ALPHABET[:rng.randint(1, 5)]
-    envs = _ENV_ALPHABET[:rng.randint(1, 5)]
+    ents = _ENT_ALPHABET[:1 + below(rng, 5)]
+    envs = _ENV_ALPHABET[:1 + below(rng, 5)]
     generate = random_deterministic_episode if trial % 2 == 0 else random_episode
     ep = generate(rng, ents, envs, max_len)
     return check_proposition(ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs)))

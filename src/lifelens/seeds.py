@@ -9,6 +9,7 @@ repetitions consumed.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 DEFAULT_SEED = 271828
 
@@ -21,3 +22,37 @@ def substream(seed: int, *path: int) -> random.Random:
     """
     key = ":".join(str(part) for part in (seed, *path))
     return random.Random(key)
+
+
+def below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn exactly as `rng` would.
+
+    This is the stdlib's `_randbelow` on Python 3.10-3.13: take
+    k = n.bit_length() bits and retry while they reach n, so `lo +
+    below(rng, hi - lo + 1)` equals `rng.randint(lo, hi)` and
+    `seq[below(rng, len(seq))]` equals `rng.choice(seq)`, value and
+    stream state alike, with fewer Python frames per draw.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
+    """`tuple(rng.choice(seq) for _ in range(count))`, drawn in one frame.
+
+    Each draw is `below(rng, len(seq))`, with the rule inlined so the
+    loop calls only `getrandbits`.
+    """
+    n = len(seq)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    drawn = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        drawn.append(seq[r])
+    return tuple(drawn)

@@ -1,17 +1,38 @@
-"""Test oracles: the original set-based Life step and glider detection.
+"""Test oracles: the original formulations of the package's fast paths.
 
-These are the straightforward formulations the package started with,
-kept verbatim so the tests can show the faster bit-row `life_step` and
-anchor-scan `find_glider` return exactly the same results. Nothing in
-the package imports this module.
+These are the straightforward versions the package started with, kept
+verbatim so the tests can show the faster paths return exactly the same
+results: the set-based Life step and glider detection, the episode
+generators built on `rng.choice` and `rng.randint`, and the coop
+experiment that walks every meeting. Nothing in the package imports
+this module.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from typing import Sequence
 
 from lifelens.ca import CAState, Cell
-from lifelens.observe import GLIDER_PHASES
+from lifelens.coop import (
+    _BY_BOOL,
+    CoopConfig,
+    CoopReport,
+    IndividualRecord,
+    PayoffMatrix,
+    RepetitionResult,
+    _mean,
+    meeting_payoff,
+)
+from lifelens.observe import (
+    GLIDER_PHASES,
+    ZERO,
+    Label,
+    ObservedEpisode,
+    _check_episode_args,
+)
+from lifelens.seeds import substream
 
 _OFFSETS: tuple[Cell, ...] = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
@@ -64,3 +85,127 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
             if best_key is None or key < best_key:
                 best, best_key = body, key
     return best
+
+
+def random_episode(rng: random.Random, ent_labels: Sequence[Label],
+                   env_labels: Sequence[Label], max_len: int) -> ObservedEpisode:
+    """A uniformly scrambled episode; terminated with probability 1/2."""
+    _check_episode_args(ent_labels, env_labels, max_len)
+    length = rng.randint(1, max_len)
+    ents = tuple(rng.choice(ent_labels) for _ in range(length))
+    envs = tuple(rng.choice(env_labels) for _ in range(length))
+    if rng.random() < 0.5:
+        return ObservedEpisode(0, ents, envs, (ZERO, rng.choice(env_labels)), True)
+    return ObservedEpisode(0, ents, envs, None, False)
+
+
+def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label],
+                                 env_labels: Sequence[Label], max_len: int) -> ObservedEpisode:
+    """A terminated episode whose environment follows a fixed transition map.
+
+    The next environment label is a function of the current (entity,
+    environment) pair by construction, so is_deterministic_env returns
+    None for every episode generated here.
+    """
+    _check_episode_args(ent_labels, env_labels, max_len)
+    table = {
+        (e, v): rng.choice(env_labels)
+        for e in ent_labels for v in env_labels
+    }
+    length = rng.randint(1, max_len)
+    ents = tuple(rng.choice(ent_labels) for _ in range(length))
+    envs = [rng.choice(env_labels)]
+    for i in range(length - 1):
+        envs.append(table[(ents[i], envs[i])])
+    nxt_env = table[(ents[-1], envs[-1])]
+    return ObservedEpisode(0, ents, tuple(envs), (ZERO, nxt_env), True)
+
+
+def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix()) -> CoopReport:
+    """Run all repetitions; repetition r draws from substream(seed, r).
+
+    Draw order within a repetition: the m environment stances, then the n
+    initial player stances, then per player (in index order) one flip
+    decision before each meeting. True encodes COOP in the inner loop.
+    """
+    m = config.env_size
+    n = config.population
+    p = config.resolved_flip_probability()
+    # gain[stance][opponent]: the stance's take, indexed by is-COOP bools.
+    gain = tuple(tuple(meeting_payoff(s, o, payoffs)[0] for o in _BY_BOOL) for s in _BY_BOOL)
+
+    results = []
+    noncontra_total = 0
+    coop_sum = coop_meetings = 0
+    payoff_sum = 0
+
+    for r in range(config.repetitions):
+        rng = substream(config.seed, r)
+        rand = rng.random
+        env = tuple(rand() < 0.5 for _ in range(m))
+        initial = tuple(rand() < 0.5 for _ in range(n))
+
+        totals: list[int] = []
+        winner_index = 0
+        winner_history: list[bool] = []
+        noncontra = 0
+        rep_coop_sum = rep_coop_meetings = 0
+
+        for i in range(n):
+            stance = initial[i]
+            total = 0
+            history = []
+            flipped = False
+            for opponent in env:
+                if rand() < p:
+                    stance = not stance
+                    flipped = True
+                history.append(stance)
+                take = gain[stance][opponent]
+                total += take
+                if stance:
+                    rep_coop_sum += take
+                    rep_coop_meetings += 1
+            if not flipped:
+                noncontra += 1
+            if not totals or total > totals[winner_index]:
+                winner_index = i
+                winner_history = history
+            totals.append(total)
+
+        rep_sum = sum(totals)
+        winner_initial = initial[winner_index]
+        winner = IndividualRecord(
+            initial_stance=_BY_BOOL[winner_initial],
+            stance_history=tuple(_BY_BOOL[s] for s in winner_history),
+            total_payoff=totals[winner_index],
+            contradictory=any(s != winner_initial for s in winner_history),
+        )
+        noncontra_total += noncontra
+        coop_sum += rep_coop_sum
+        coop_meetings += rep_coop_meetings
+        payoff_sum += rep_sum
+        results.append(RepetitionResult(
+            index=r,
+            env_coop_count=sum(env),
+            winner_index=winner_index,
+            winner=winner,
+            noncontradictory_fraction=noncontra / n,
+            min_payoff=min(totals),
+            max_payoff=max(totals),
+            mean_payoff_coop=_mean(rep_coop_sum, rep_coop_meetings),
+            mean_payoff_noncoop=_mean(rep_sum - rep_coop_sum, n * m - rep_coop_meetings),
+        ))
+
+    return CoopReport(
+        config=config,
+        payoffs=payoffs,
+        flip_probability=p,
+        repetitions=tuple(results),
+        contradictory_winner_pct=(100.0 * sum(rep.winner.contradictory for rep in results)
+                                  / config.repetitions),
+        noncontradictory_fraction=noncontra_total / (n * config.repetitions),
+        mean_payoff_coop=_mean(coop_sum, coop_meetings),
+        mean_payoff_noncoop=_mean(payoff_sum - coop_sum,
+                                  n * m * config.repetitions - coop_meetings),
+    )

@@ -7,6 +7,7 @@ asserted in test_acceptance.py.
 """
 
 import errno
+import functools
 import os
 import subprocess
 import sys
@@ -396,3 +397,27 @@ class TestWriteFailure:
         assert proc.returncode == 2
         assert proc.stderr == (f"lifelens {argv[0]}: cannot write output: "
                                f"{os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, stdout_full", [(("observe", "--steps", "-2"), False),
+                                                   (("observe",), True)],
+                             ids=["bad-input", "failed-write"])
+    def test_unwritable_stderr(self, argv, stdout_full):
+        # The reason cannot be written, yet the exit code stays 2: not 1,
+        # the violation code a traceback gave, nor 120, which a second
+        # failure in the exit-time flush would give.
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "lifelens", *argv],
+                                  stdout=full if stdout_full else subprocess.PIPE, stderr=full)
+        assert proc.returncode == 2
+        assert not proc.stdout
+
+    def test_closed_stdout(self):
+        # With fd 1 closed at startup sys.stdout is None, and print would
+        # drop the output without an error.
+        proc = subprocess.run([sys.executable, "-m", "lifelens", "observe"],
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=functools.partial(os.close, 1))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"lifelens observe: cannot write output: "
+                               f"{os.strerror(errno.EBADF)}\n")

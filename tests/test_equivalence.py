@@ -1,20 +1,35 @@
-"""The bit-row `life_step` and the anchor-scan `find_glider` against the
-original set-based formulations kept in reference.py.
+"""The package's fast paths against the original formulations kept in
+reference.py.
 
-Each fast path must return exactly what its oracle returns: the same
-next state, and the same detected glider (or None), on arbitrary states,
-on crowds of gliders where the least-body tie-break and the halo test
-decide, and on every state of a random soup.
+Each fast path must return exactly what its oracle returns. The bit-row
+`life_step` and the anchor-scan `find_glider` must give the same next
+state and the same detected glider (or None) on arbitrary states, on
+crowds of gliders where the least-body tie-break and the halo test
+decide, and on every state of a random soup. The episode generators
+built on `seeds.below` and `seeds.choices` must give the same episode
+and leave the stream in the same state as their `rng.choice` versions.
+The coop experiment drawn as flip lists must give the same report as
+the one that walks every meeting.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
 from lifelens import observe
 from lifelens.ca import CAState, life_step, parse_pattern, run
-from lifelens.observe import GLIDER_PHASES, ZERO, find_glider, glider_observer, perceive_trace
+from lifelens.coop import CoopConfig, PayoffMatrix, run_coop_experiment
+from lifelens.observe import (
+    GLIDER_PHASES,
+    ZERO,
+    find_glider,
+    glider_observer,
+    perceive_trace,
+    random_deterministic_episode,
+    random_episode,
+)
 
 coords = st.integers(-12, 12)
 states = st.frozensets(st.tuples(coords, coords), max_size=90).map(CAState)
@@ -100,3 +115,33 @@ class TestSoup:
             body = reference.find_glider(state)
             assert ent == (ZERO if body is None else body)
             assert env == state.live - (body or frozenset())
+
+
+class TestEpisodeGenerators:
+    @pytest.mark.parametrize("fast, slow", [
+        (random_episode, reference.random_episode),
+        (random_deterministic_episode, reference.random_deterministic_episode),
+    ], ids=["arbitrary", "deterministic"])
+    @given(seed=st.integers(0, 2 ** 64 - 1), ents=st.integers(1, 5), envs=st.integers(1, 5),
+           max_len=st.sampled_from([1, 2, 4, 5]) | st.integers(1, 300))
+    def test_matches_the_choice_version(self, fast, slow, seed, ents, envs, max_len):
+        ent_labels, env_labels = "ABCDE"[:ents], "VWXYZ"[:envs]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert (fast(ours, ent_labels, env_labels, max_len)
+                == slow(theirs, ent_labels, env_labels, max_len))
+        assert ours.getstate() == theirs.getstate()
+
+
+class TestCoop:
+    # The hand replay's two payoff matrices in tests/test_coop.py.
+    @pytest.mark.parametrize("payoffs", [PayoffMatrix(), PayoffMatrix(cc=5, cn=-3, nc=2, nn=1)],
+                             ids=["default", "custom"])
+    @given(m=st.integers(1, 8), n=st.integers(1, 12), repetitions=st.integers(1, 3),
+           p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
+    def test_matches_the_meeting_walk(self, payoffs, m, n, repetitions, p, seed):
+        config = CoopConfig(env_size=m, population=n, flip_probability=p,
+                            repetitions=repetitions, seed=seed)
+        # repr, because a stance no player used gives NaN means, and
+        # NaN != NaN; float reprs round-trip, so this is still exact.
+        assert (repr(run_coop_experiment(config, payoffs))
+                == repr(reference.run_coop_experiment(config, payoffs)))
