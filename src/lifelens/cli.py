@@ -216,19 +216,19 @@ def cmd_coop(args, out: list[str]) -> int:
         seed=args.seed,
     )
     report = coop.run_coop_experiment(config)
+    rows = [(rep, "".join(str(s) for s in rep.winner.stance_history))
+            for rep in report.repetitions]
     if args.format == "csv":
         out.append("rep,env_coop_count,winner_index,winner_payoff,winner_contradictory,"
                    "winner_history,noncontradictory_fraction")
-        for rep in report.repetitions:
-            history = "".join(str(s) for s in rep.winner.stance_history)
+        for rep, history in rows:
             out.append(f"{rep.index},{rep.env_coop_count},{rep.winner_index},"
                        f"{rep.winner.total_payoff},{rep.winner.contradictory},"
                        f"{history},{rep.noncontradictory_fraction:.6f}")
         return 0
     out.append(f"repetitions: {config.repetitions}, environment {config.env_size}, "
                f"population {config.population}, flip probability {report.flip_probability:.6f}")
-    for rep in report.repetitions:
-        history = "".join(str(s) for s in rep.winner.stance_history)
+    for rep, history in rows:
         out.append(f"rep {rep.index:>3}: winner #{rep.winner_index:<4} "
                    f"payoff {rep.winner.total_payoff:>4} "
                    f"{'contradictory' if rep.winner.contradictory else 'consistent   '} "
@@ -286,7 +286,9 @@ def _write(stream, lines: list[str]) -> None:
     try:
         print(*lines, sep="\n", file=stream, flush=True)
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
         raise ValueError(f"cannot write output: {exc.strerror}") from None
 
 

@@ -154,7 +154,10 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     A player's flips are drawn as the list of meetings before which one
     fired. Its stance is constant between flips, so its takes come from
     per-stance prefix sums of `gain` over the environment row, one
-    difference per run of meetings.
+    difference per run of meetings. Scoring draws nothing, so all n flip
+    lists are drawn before any is scored; the winner (the first maximum
+    total), its history and flag, and the non-contradictory count are
+    then read off the totals and the flip lists.
     """
     m = config.env_size
     n = config.population
@@ -173,22 +176,16 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
         rand = rng.random
         env = tuple(rand() < 0.5 for _ in range(m))
         initial = tuple(rand() < 0.5 for _ in range(n))
+        flips = [[j for j in meetings if rand() < p] for _ in range(n)]
         # banked[stance][j]: the takes of the first j meetings played in stance.
         banked = tuple(tuple(itertools.accumulate((row[o] for o in env), initial=0))
                        for row in gain)
 
         totals: list[int] = []
-        winner_index = 0
-        winner_flips: list[int] = []
-        noncontra = 0
         rep_coop_sum = rep_coop_meetings = 0
-
-        for i in range(n):
-            flips = [j for j in meetings if rand() < p]
-            stance = initial[i]
-            total = 0
-            start = 0
-            for end in (*flips, m):
+        for stance, player_flips in zip(initial, flips):
+            total = start = 0
+            for end in (*player_flips, m):
                 take = banked[stance][end] - banked[stance][start]
                 total += take
                 if stance:
@@ -196,26 +193,21 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
                     rep_coop_meetings += end - start
                 stance = not stance
                 start = end
-            if not flips:
-                noncontra += 1
-            if not totals or total > totals[winner_index]:
-                winner_index = i
-                winner_flips = flips
             totals.append(total)
 
+        best = max(totals)
+        winner_index = totals.index(best)
         winner_initial = initial[winner_index]
-        winner_history = []
-        stance = winner_initial
-        for j in meetings:
-            if j in winner_flips:
-                stance = not stance
-            winner_history.append(stance)
+        winner_flips = flips[winner_index]
+        noncontra = flips.count([])
         rep_sum = sum(totals)
+        # A player's stance at meeting j has flipped once per flip at or before j.
         winner = IndividualRecord(
             initial_stance=_BY_BOOL[winner_initial],
-            stance_history=tuple(_BY_BOOL[s] for s in winner_history),
-            total_payoff=totals[winner_index],
-            contradictory=any(s != winner_initial for s in winner_history),
+            stance_history=tuple(_BY_BOOL[winner_initial ^ (sum(f <= j for f in winner_flips) % 2)]
+                                 for j in meetings),
+            total_payoff=best,
+            contradictory=bool(winner_flips),
         )
         noncontra_total += noncontra
         coop_sum += rep_coop_sum
@@ -228,7 +220,7 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
             winner=winner,
             noncontradictory_fraction=noncontra / n,
             min_payoff=min(totals),
-            max_payoff=max(totals),
+            max_payoff=best,
             mean_payoff_coop=_mean(rep_coop_sum, rep_coop_meetings),
             mean_payoff_noncoop=_mean(rep_sum - rep_coop_sum, n * m - rep_coop_meetings),
         ))

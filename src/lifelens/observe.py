@@ -165,22 +165,14 @@ def extract_entities(pt: PerceivedTrace) -> list[ObservedEpisode]:
     """Cut a perceived trace into its maximal non-ZERO entity runs."""
     episodes: list[ObservedEpisode] = []
     pairs = pt.pairs
-    t = 0
-    while t < len(pairs):
-        if pairs[t][0] is ZERO:
-            t += 1
-            continue
-        start = t
-        while t < len(pairs) and pairs[t][0] is not ZERO:
-            t += 1
-        nxt = pairs[t] if t < len(pairs) else None
-        episodes.append(ObservedEpisode(
-            start=start,
-            ent_states=tuple(p[0] for p in pairs[start:t]),
-            env_states=tuple(p[1] for p in pairs[start:t]),
-            next_pair_after_end=nxt,
-            terminated=nxt is not None,
-        ))
+    start = 0
+    for absent, run in itertools.groupby(pairs, key=lambda pair: pair[0] is ZERO):
+        ents, envs = zip(*run)
+        end = start + len(ents)
+        nxt = pairs[end] if end < len(pairs) else None
+        if not absent:
+            episodes.append(ObservedEpisode(start, ents, envs, nxt, nxt is not None))
+        start = end
     return episodes
 
 
@@ -504,11 +496,12 @@ def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label]
     table = dict(zip(pairs, choices(rng, env_labels, len(ent_labels) * len(env_labels))))
     length = 1 + below(rng, max_len)
     ents = choices(rng, ent_labels, length)
-    envs = [env_labels[below(rng, len(env_labels))]]
-    for i in range(length - 1):
-        envs.append(table[(ents[i], envs[i])])
-    nxt_env = table[(ents[-1], envs[-1])]
-    return ObservedEpisode(0, ents, tuple(envs), (ZERO, nxt_env), True)
+    env = env_labels[below(rng, len(env_labels))]
+    envs = []
+    for ent in ents:
+        envs.append(env)
+        env = table[(ent, env)]
+    return ObservedEpisode(0, ents, tuple(envs), (ZERO, env), True)
 
 
 @dataclass(frozen=True)
@@ -539,10 +532,10 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     _check_episode_args(_ENT_ALPHABET, _ENV_ALPHABET, max_len)
-    space = PerceptionSpace(frozenset({ZERO, "A"}), frozenset({"X", "Y"}))
+    ents, envs = ("A",), ("X", "Y")
+    space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
     exhaustive, exhaustive_premises, exhaustive_violations = _tally(
-        check_proposition(ep, space)
-        for ep in iter_terminated_episodes(("A",), ("X", "Y"), max_len=10))
+        check_proposition(ep, space) for ep in iter_terminated_episodes(ents, envs, max_len=10))
     _, randomized_premises, randomized_violations = _tally(
         _random_trial(seed, trial, max_len) for trial in range(trials))
     return TheoremCheckReport(
@@ -562,8 +555,8 @@ def _random_trial(seed: int, trial: int, max_len: int) -> PropositionCheck:
     labels, then the episode.
     """
     rng = substream(seed, trial)
-    ents = _ENT_ALPHABET[:1 + below(rng, 5)]
-    envs = _ENV_ALPHABET[:1 + below(rng, 5)]
+    ents = _ENT_ALPHABET[:1 + below(rng, len(_ENT_ALPHABET))]
+    envs = _ENV_ALPHABET[:1 + below(rng, len(_ENV_ALPHABET))]
     generate = random_deterministic_episode if trial % 2 == 0 else random_episode
     ep = generate(rng, ents, envs, max_len)
     return check_proposition(ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs)))

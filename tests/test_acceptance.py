@@ -234,7 +234,7 @@ def test_cli_reproducibility(tmp_path):
         outputs = []
         for _ in range(2):
             proc = subprocess.run([sys.executable, "-m", "lifelens", *command],
-                                  capture_output=True)
+                                  capture_output=True, timeout=60)
             assert proc.returncode == 0, (command, proc.stderr)
             assert proc.stderr == b"", (command, proc.stderr)
             outputs.append(proc.stdout)

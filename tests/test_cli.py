@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from lifelens import observe, updown
-from lifelens.cli import main
+from lifelens.cli import _write, main
 from lifelens.observe import ZERO, Observer
 
 
@@ -301,7 +301,7 @@ class TestBadInput:
     def test_module_entry_point_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lifelens", "observe", "--steps", "-2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("lifelens observe: ")
         assert proc.stderr.count("\n") == 1
@@ -324,7 +324,7 @@ class TestDispatch:
         proc = subprocess.run(
             [sys.executable, "-m", "lifelens", "updown", "--n", "3",
              "--format", "csv"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == [
             "strategy,wins,total",
@@ -366,14 +366,15 @@ class TestHelp:
 class TestWriteFailure:
     """A failed stdout write exits 2 with one stderr line, no traceback.
 
-    These run in a subprocess: after a failed write main points fd 1 at
-    os.devnull, which in-process would repoint the test runner's own fd 1.
+    The runs of main are subprocesses: after a failed write main points
+    fd 1 at os.devnull, which in-process would repoint the test runner's
+    own fd 1.
     """
 
     @staticmethod
     def run(argv, stdout):
         return subprocess.run([sys.executable, "-m", "lifelens", *argv],
-                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_disk(self):
@@ -408,7 +409,8 @@ class TestWriteFailure:
         # failure in the exit-time flush would give.
         with open("/dev/full", "wb") as full:
             proc = subprocess.run([sys.executable, "-m", "lifelens", *argv],
-                                  stdout=full if stdout_full else subprocess.PIPE, stderr=full)
+                                  stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                                  timeout=60)
         assert proc.returncode == 2
         assert not proc.stdout
 
@@ -416,8 +418,24 @@ class TestWriteFailure:
         # With fd 1 closed at startup sys.stdout is None, and print would
         # drop the output without an error.
         proc = subprocess.run([sys.executable, "-m", "lifelens", "observe"],
-                              stderr=subprocess.PIPE, text=True,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
                               preexec_fn=functools.partial(os.close, 1))
         assert proc.returncode == 2
         assert proc.stderr == (f"lifelens observe: cannot write output: "
                                f"{os.strerror(errno.EBADF)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_leaves_no_descriptor_open(self):
+        # In-process: the stream is a file of this test's own, so pointing
+        # its descriptor at os.devnull touches nothing else. The lowest free
+        # descriptor is where the next open lands.
+        def lowest_free():
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
+        with open("/dev/full", "w") as full:
+            before = lowest_free()
+            with pytest.raises(ValueError, match="cannot write output"):
+                _write(full, ["x"])
+            assert lowest_free() == before
