@@ -8,7 +8,7 @@ for dead cells and 'O' for live ones, one row per line, top row first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
 """Lattice position as (x, y): x grows rightward, y downward (text rows)."""
@@ -86,12 +86,25 @@ def parse_pattern(text: str) -> CAState:
     return CAState(frozenset(cells))
 
 
+def pack_rows(cells: Iterable[Cell], base: int) -> dict[int, int]:
+    """The cells as one int per occupied row: bit i of rows[y] is cell
+    (base + i, y). Every x must be at least base."""
+    rows: dict[int, int] = {}
+    get = rows.get
+    for x, y in cells:
+        rows[y] = get(y, 0) | 1 << (x - base)
+    return rows
+
+
 def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = None) -> str:
     """Write a state in the same '.'/'O' format parse_pattern reads.
 
     viewport is (x0, y0, width, height); by default the state's bounding
     box is used. Live cells outside the viewport are not shown. The empty
     state renders to the empty string when no viewport is given.
+
+    Each row is its packed int, with a marker bit at `width` so bin()
+    gives exactly width digits after the marker, read low bit first.
     """
     if viewport is None:
         box = state.bounding_box()
@@ -103,11 +116,9 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
         x0, y0, width, height = viewport
         if width < 0 or height < 0:
             raise ValueError("viewport width and height must be non-negative")
-    live = state.live
-    rows = []
-    for y in range(y0, y0 + height):
-        rows.append("".join("O" if (x, y) in live else "." for x in range(x0, x0 + width)))
-    return "\n".join(rows)
+    rows = pack_rows(((x, y) for x, y in state.live if x0 <= x < x0 + width), x0)
+    text = "\n".join(bin(rows.get(y, 0) | 1 << width)[:2:-1] for y in range(y0, y0 + height))
+    return text.replace("0", ".").replace("1", "O")
 
 
 def life_step(s: CAState) -> CAState:
@@ -116,20 +127,17 @@ def life_step(s: CAState) -> CAState:
     A cell with exactly 3 live neighbors is live next step; with exactly
     2 it keeps its current value; any other count leaves it dead.
 
-    Each row is packed into an int, bit i holding cell x = base + i,
-    where base lies one left of the leftmost live cell so no birth falls
-    below bit 0. The eight shifted neighbour rows go through a bitwise
-    counter: `ones` and `twos` hold the count's low bits, and `many`
-    flags a count of four or more.
+    The rows come from pack_rows with base one left of the leftmost live
+    cell, so no birth falls below bit 0. The eight shifted neighbour rows
+    go through a bitwise counter: `ones` and `twos` hold the count's low
+    bits, and `many` flags a count of four or more.
     """
     live = s.live
     if not live:
         return CAState()
     base = min(x for x, _ in live) - 1
-    rows: dict[int, int] = {}
+    rows = pack_rows(live, base)
     get = rows.get
-    for x, y in live:
-        rows[y] = get(y, 0) | 1 << (x - base)
     cells = []
     for y in {r + dy for r in rows for dy in (-1, 0, 1)}:
         a, b, c = get(y - 1, 0), get(y, 0), get(y + 1, 0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .ca import Cell, CAState, Trace, life_step, GLIDER
+from .ca import Cell, CAState, Trace, life_step, pack_rows, GLIDER
 from .seeds import below, choices, substream
 
 Label = Hashable
@@ -316,28 +316,26 @@ def _glider_phases() -> tuple[tuple[Cell, ...], ...]:
 GLIDER_PHASES = _glider_phases()
 
 
-# Every phase's halo holds the four neighbours of its (y, x)-least cell
-# that come before it: the one to its left and the three in the row above.
-# In a crowded state most live cells have one of them live, so testing
-# these first rejects most anchors at once.
-_SHARED_HALO: tuple[Cell, ...] = ((-1, 0), (-1, -1), (0, -1), (1, -1))
+# The farthest a halo cell lies right of its phase's anchor.
+_REACH = 3
 
 
-def _glider_templates() -> tuple[tuple[tuple[Cell, ...], tuple[Cell, ...]], ...]:
-    """Per phase, offsets from its least cell: the other four body cells,
-    and the halo (cells adjacent to the body) less the shared offsets."""
-    templates = []
+def _glider_stencils() -> tuple[tuple[tuple[Cell, ...], tuple[tuple[int, int, int], ...]], ...]:
+    """Per phase, its cells and one (dy, shift, flip) term per cell to
+    test: the body cells with flip 0, then the halo (cells adjacent to
+    the body) with flip -1, which inverts the row to ask for dead cells.
+    Shifting a row left by _REACH - dx puts the cell dx right of an
+    anchor at that anchor's bit plus _REACH."""
+    stencils = []
     for phase in GLIDER_PHASES:
-        body = set(phase)
         halo = {(x + dx, y + dy) for x, y in phase for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
-        templates.append((
-            tuple(sorted(body - {(0, 0)})),
-            tuple(sorted(halo - body - set(_SHARED_HALO))),
-        ))
-    return tuple(templates)
+        terms = [(dy, _REACH - dx, 0) for dx, dy in phase]
+        terms += [(dy, _REACH - dx, -1) for dx, dy in sorted(halo - set(phase))]
+        stencils.append((phase, tuple(terms)))
+    return tuple(stencils)
 
 
-_GLIDER_TEMPLATES = _glider_templates()
+_GLIDER_STENCILS = _glider_stencils()
 
 
 def find_glider(state: CAState) -> frozenset[Cell] | None:
@@ -349,27 +347,30 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
     (y, x) cell list is lexicographically least wins, so detection is a
     function of the state alone.
 
-    Each live cell is tried as the (y, x)-least cell of a detection. A
-    glider phase is 8-connected, so isolated detections are disjoint, and
-    the one with the least such anchor has the least cell list.
+    Rows come from pack_rows. For each row, top down, and each phase,
+    `hits` ANDs the phase's shifted body rows and inverted halo rows, so
+    one bit marks each anchor, the phase's (y, x)-least cell, in that
+    row. An isolated detection is a whole 8-connected component, so
+    detections are disjoint, an anchor has one phase at most, and the
+    least low bit of the first row with a hit is the least cell list.
     """
-    live = state.live
-    best: Cell | None = None
-    best_body: tuple[Cell, ...] = ()
-    for cx, cy in live:
-        if any((cx + dx, cy + dy) in live for dx, dy in _SHARED_HALO):
-            continue
-        if best is not None and (cy, cx) > (best[1], best[0]):
-            continue
-        for body, halo in _GLIDER_TEMPLATES:
-            if all((cx + dx, cy + dy) in live for dx, dy in body) and not any(
-                    (cx + dx, cy + dy) in live for dx, dy in halo):
-                best, best_body = (cx, cy), body
-                break
-    if best is None:
-        return None
-    cx, cy = best
-    return frozenset([best, *((cx + dx, cy + dy) for dx, dy in best_body)])
+    base = min((x for x, _ in state.live), default=0)
+    rows = pack_rows(state.live, base)
+    for y in sorted(rows):
+        found = []
+        for phase, terms in _GLIDER_STENCILS:
+            hits = -1
+            for dy, shift, flip in terms:
+                hits &= (rows.get(y + dy, 0) << shift) ^ flip
+                if not hits:
+                    break
+            else:
+                found.append(((hits & -hits).bit_length(), phase))
+        if found:
+            bit, phase = min(found)
+            x = base + bit - 1 - _REACH
+            return frozenset((x + dx, y + dy) for dx, dy in phase)
+    return None
 
 
 def glider_observer() -> Observer:

@@ -2,10 +2,11 @@
 
 These are the straightforward versions the package started with, kept
 verbatim so the tests can show the faster paths return exactly the same
-results: the set-based Life step and glider detection, the episode
-generators built on `rng.choice` and `rng.randint`, and the coop
-experiment that walks every meeting. Nothing in the package imports
-this module.
+results: the set-based Life step and glider detection, the render that
+looks up every viewport cell (the render oracle for the one built on
+`ca.pack_rows`), the episode generators built on `rng.choice` and
+`rng.randint`, and the coop experiment that walks every meeting.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -85,6 +86,30 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
             if best_key is None or key < best_key:
                 best, best_key = body, key
     return best
+
+
+def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = None) -> str:
+    """Write a state in the same '.'/'O' format parse_pattern reads.
+
+    viewport is (x0, y0, width, height); by default the state's bounding
+    box is used. Live cells outside the viewport are not shown. The empty
+    state renders to the empty string when no viewport is given.
+    """
+    if viewport is None:
+        box = state.bounding_box()
+        if box is None:
+            return ""
+        x0, y0, x1, y1 = box
+        width, height = x1 - x0 + 1, y1 - y0 + 1
+    else:
+        x0, y0, width, height = viewport
+        if width < 0 or height < 0:
+            raise ValueError("viewport width and height must be non-negative")
+    live = state.live
+    rows = []
+    for y in range(y0, y0 + height):
+        rows.append("".join("O" if (x, y) in live else "." for x in range(x0, x0 + width)))
+    return "\n".join(rows)
 
 
 def random_episode(rng: random.Random, ent_labels: Sequence[Label],

@@ -1,11 +1,15 @@
 """The package's fast paths against the original formulations kept in
 reference.py.
 
-Each fast path must return exactly what its oracle returns. The bit-row
-`life_step` and the anchor-scan `find_glider` must give the same next
-state and the same detected glider (or None) on arbitrary states, on
-crowds of gliders where the least-body tie-break and the halo test
-decide, and on every state of a random soup. The episode generators
+Each fast path must return exactly what its oracle returns. `life_step`
+and `find_glider`, both on the rows `ca.pack_rows` packs, must give the
+same next state and the same detected glider (or None) on arbitrary
+states, on crowds of gliders where the least-body tie-break and the halo
+test decide, and on every state of a random soup; a table of lone
+glider phases pins each halo cell and the tie rule. `render_pattern`,
+also on packed rows, must write the same text as the render oracle that
+looks up every viewport cell, for any viewport, and unpacking
+`pack_rows` must give back its cells. The episode generators
 built on `seeds.below` and `seeds.choices` must give the same episode
 and leave the stream in the same state as their `rng.choice` versions.
 The coop experiment drawn as flip lists must give the same report as
@@ -15,11 +19,11 @@ the one that walks every meeting.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from lifelens import observe
-from lifelens.ca import CAState, life_step, parse_pattern, run
+from lifelens.ca import CAState, life_step, pack_rows, parse_pattern, render_pattern, run
 from lifelens.coop import CoopConfig, PayoffMatrix, run_coop_experiment
 from lifelens.observe import (
     GLIDER_PHASES,
@@ -33,6 +37,10 @@ from lifelens.observe import (
 
 coords = st.integers(-12, 12)
 states = st.frozensets(st.tuples(coords, coords), max_size=90).map(CAState)
+corners = st.integers(-15, 15)
+sides = st.integers(0, 20)
+viewports = st.none() | st.tuples(corners, corners, sides, sides)
+SPREAD = CAState(frozenset({(-12, -12), (0, 0), (3, -1), (12, 12)}))
 
 
 def crowd(rng: random.Random) -> CAState:
@@ -48,6 +56,16 @@ def crowd(rng: random.Random) -> CAState:
 
 
 glider_crowds = st.randoms(use_true_random=False).map(crowd)
+
+
+def placed(phase: tuple, dx: int, dy: int) -> frozenset:
+    """The phase moved so its (y, x)-least cell, its anchor, is (dx, dy)."""
+    return frozenset((x + dx, y + dy) for x, y in phase)
+
+
+def within(cells: frozenset, r: int) -> set:
+    """Every cell at Chebyshev distance r or less from some cell of cells."""
+    return {(x + dx, y + dy) for x, y in cells for dx in range(-r, r + 1) for dy in range(-r, r + 1)}
 
 
 def soup(seed: int, size: int = 60, density: float = 0.35) -> CAState:
@@ -67,10 +85,53 @@ class TestLifeStep:
         assert life_step(state) == reference.life_step(state)
 
 
+class TestPackRows:
+    @given(states, st.integers(0, 20))
+    def test_unpacking_gives_back_the_cells(self, state, slack):
+        base = min((x for x, _ in state.live), default=0) - slack
+        rows = pack_rows(state.live, base)
+        unpacked = {(base + i, y) for y, row in rows.items()
+                    for i in range(row.bit_length()) if row >> i & 1}
+        assert unpacked == state.live
+        assert set(rows) == {y for _, y in state.live}
+
+
+class TestRenderPattern:
+    @given(states, viewports)
+    @example(SPREAD, (0, -3, 0, 5))  # zero width
+    @example(SPREAD, (-3, 0, 5, 0))  # zero height
+    @example(SPREAD, (13, -15, 2, 20))  # no live cell inside
+    @example(SPREAD, (-1, -2, 6, 4))  # cut on all four sides
+    @example(SPREAD, (-1, -2, 3, 4))  # a live cell two columns right of it
+    @example(SPREAD, None)  # the default viewport
+    def test_matches_the_cell_lookup(self, state, viewport):
+        assert render_pattern(state, viewport) == reference.render_pattern(state, viewport)
+
+
 class TestFindGlider:
     @given(states)
     def test_matches_the_set_scan(self, state):
         assert find_glider(state) == reference.find_glider(state)
+
+    @pytest.mark.parametrize("offset", [(-7, -5), (3, 4)], ids=lambda o: "at(%d,%d)" % o)
+    @pytest.mark.parametrize("phase", range(4), ids=lambda p: f"phase{p}")
+    def test_lone_phase_halo_and_tie_rule(self, phase, offset):
+        ox, oy = offset
+        body = placed(GLIDER_PHASES[phase], ox, oy)
+        cases = {body: body}
+        halo = within(body, 1) - body
+        assert len(halo) == 17
+        cases.update((body | {cell}, None) for cell in halo)
+        cases.update((body | {cell}, body) for cell in within(body, 2) - within(body, 1))
+        # A glider of the next phase, 10 columns away: the higher anchor
+        # row wins even with the larger x, and on one row the smaller x.
+        other = GLIDER_PHASES[(phase + 1) % 4]
+        cases[body | placed(other, ox - 10, oy + 1)] = body
+        cases[body | placed(other, ox + 10, oy)] = body
+        cases[body | placed(other, ox - 10, oy)] = placed(other, ox - 10, oy)
+        for cells, expected in cases.items():
+            assert find_glider(CAState(cells)) == expected
+            assert reference.find_glider(CAState(cells)) == expected
 
     @settings(max_examples=300)
     @given(glider_crowds)

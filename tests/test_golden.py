@@ -51,6 +51,13 @@ GOLDEN = {
         "3ccb6da337ce4ad36a04373af259bbe786a56ce83901b64ca43e58ba59925db1",
     "updown --strategy UDDUUDUDDDUUUDUDDUUDDDUU":
         "cc14a7d480d6a70b8f6fdaf8554b7953d49add5dc0690bb7669b9ad549574aec",
+    # Recorded before render_pattern moved onto packed rows: a viewport
+    # that crops the scene on all four sides, and one of zero width with
+    # a negative origin.
+    "life scene.txt --steps 30 --viewport=2,1,5,4":
+        "20f4e3a46d89407ea1ad19a1b6c4bdcc6613d9f88ce88f4fc63697a2574684c0",
+    "life scene.txt --steps 2 --viewport=-3,-2,0,3":
+        "22546a1ef056e390227ac65d43ad38d1c31ed41cf0f613ae53724a881026d46d",
 }
 
 SEEDED = ("coop", "market", "theorem")
