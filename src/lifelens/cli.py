@@ -143,7 +143,8 @@ def cmd_life(args, out: list[str]) -> int:
             out.append("")
         out.append(f"t={t}")
         frame = ca.render_pattern(state, viewport)
-        if frame:
+        # A frame is exactly HEIGHT rows, even when they are empty.
+        if viewport[3]:
             out.append(frame)
     return 0
 

@@ -220,9 +220,13 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
             trades = [below(rng, width) - START_SHARES for width in widths]
             cash, shares = START_CASH, START_SHARES
             for price, level in week:
-                intended = trades[level]
-                trade = max(-shares, min(intended, cash // price))
-                if trade != intended:
+                # The Portfolio clamp, by comparison: cash // price >= 0 >= -shares.
+                trade = trades[level]
+                if trade < -shares:
+                    trade = -shares
+                    clamped_total += 1
+                elif trade > cash // price:
+                    trade = cash // price
                     clamped_total += 1
                 cash -= trade * price
                 shares += trade

@@ -6,11 +6,13 @@ letter calls the comparison between neighboring cards correctly: UP at
 position i demands card i+1 above card i, DOWN demands it below.
 
 Win counts are exact integers. `victories_bruteforce` enumerates every
-deck; `victories_dp` counts relative orderings with a dynamic program
-over (prefix length, rank of the last dealt card) and is the one that
-scales. Scanning all 2^(n-1) words gives the best achievable count, and
-`contradictory_bonus_demo` exhibits the classic trick: switching words
-mid-series beats any fixed word by one.
+deck; `victories_dp` counts one word's relative orderings with a dynamic
+program over (prefix length, rank of the last dealt card). The table of
+all 2^(n-1) words, `victory_table`, runs the same program once per word
+prefix by walking the trie of words, so words sharing a prefix share its
+rows; `victories_dp` is its oracle. The table's best entry is the best
+achievable count, and `contradictory_bonus_demo` exhibits the classic
+trick: switching words mid-series beats any fixed word by one.
 """
 
 from __future__ import annotations
@@ -154,12 +156,36 @@ def all_strategies(n: int) -> Iterator[Strategy]:
         yield Strategy(words)
 
 
+def _walk(row: list[int], letters: int, counts: list[int]) -> None:
+    """Append to `counts` the wins of every word that extends, by
+    `letters` more letters, the prefix whose DP row is `row`; UP first."""
+    prefix = list(itertools.accumulate(row, initial=0))
+    total = prefix[-1]
+    if letters == 1:
+        s = sum(prefix)
+        counts += (s, len(prefix) * total - s)
+    else:
+        _walk(prefix, letters - 1, counts)
+        _walk([total - p for p in prefix], letters - 1, counts)
+
+
 def victory_table(n: int) -> list[tuple[Strategy, VictoryCount]]:
     """Every word for deck size n with its exact win count, in
-    `all_strategies` order; n is limited to 2..16."""
+    `all_strategies` order; n is limited to 2..16.
+
+    A depth-first walk of the word trie, UP before DOWN, builds each
+    prefix's `victories_dp` row once from its parent's: the UP row is
+    the parent's prefix sums, the DOWN row their complements to the
+    total. The two words under a last prefix share one sum of its UP
+    row, s; the DOWN row sums to len(row) * total - s.
+    """
     if not 2 <= n <= 16:
         raise ValueError(f"deck size must be within 2..16, got {n}")
-    return [(strategy, victories_dp(strategy)) for strategy in all_strategies(n)]
+    counts: list[int] = []
+    _walk([1], n - 1, counts)
+    total = factorial(n)
+    return [(strategy, VictoryCount(count, total))
+            for strategy, count in zip(all_strategies(n), counts)]
 
 
 def max_victories(n: int) -> tuple[Strategy, VictoryCount]:

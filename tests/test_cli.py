@@ -41,6 +41,19 @@ class TestLife:
         assert code == 0
         assert out == "t=0\n....\n.OO.\n.OO.\n....\n"
 
+    @pytest.mark.parametrize("viewport, stdout", [
+        ("0,0,0,0", "t=0\n\nt=1\n"),
+        ("0,0,0,1", "t=0\n\n\nt=1\n\n"),
+        ("0,0,0,2", "t=0\n\n\n\nt=1\n\n\n"),
+        ("0,0,3,0", "t=0\n\nt=1\n"),
+    ], ids=["0x0", "0x1", "0x2", "3x0"])
+    def test_frame_has_height_rows(self, capsys, tmp_path, viewport, stdout):
+        pattern = tmp_path / "block.txt"
+        pattern.write_text("OO\nOO\n")
+        code, out, _ = run_cli(capsys, "life", str(pattern), "--steps", "1",
+                               f"--viewport={viewport}")
+        assert (code, out) == (0, stdout)
+
     def test_glider_translates(self, capsys, tmp_path):
         pattern = tmp_path / "glider.txt"
         pattern.write_text(".O.\n..O\nOOO\n")
@@ -144,7 +157,7 @@ class TestUpdown:
         assert code == 0
         assert "wins 5 of 24" in out
 
-    def test_table_runs_the_dp_once_per_word(self, capsys, monkeypatch):
+    def test_table_walks_the_word_trie_without_the_dp(self, capsys, monkeypatch):
         calls = []
         dp = updown.victories_dp
 
@@ -155,7 +168,7 @@ class TestUpdown:
         monkeypatch.setattr(updown, "victories_dp", counted)
         code, out, _ = run_cli(capsys, "updown", "--n", "12")
         assert code == 0
-        assert len(calls) == 2 ** 11
+        assert calls == []
         assert out.splitlines()[-1].startswith("maximizer: UDUDUDUDUDU with ")
 
 

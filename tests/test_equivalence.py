@@ -13,7 +13,9 @@ looks up every viewport cell, for any viewport, and unpacking
 built on `seeds.below` and `seeds.choices` must give the same episode
 and leave the stream in the same state as their `rng.choice` versions.
 The coop experiment drawn as flip lists must give the same report as
-the one that walks every meeting.
+the one that walks every meeting. `victory_table`'s walk of the word
+trie must give each word the count `victories_dp` and
+`victories_bruteforce` give it alone.
 """
 
 import random
@@ -34,6 +36,7 @@ from lifelens.observe import (
     random_deterministic_episode,
     random_episode,
 )
+from lifelens.updown import all_strategies, victories_bruteforce, victories_dp, victory_table
 
 coords = st.integers(-12, 12)
 states = st.frozensets(st.tuples(coords, coords), max_size=90).map(CAState)
@@ -206,3 +209,14 @@ class TestCoop:
         # NaN != NaN; float reprs round-trip, so this is still exact.
         assert (repr(run_coop_experiment(config, payoffs))
                 == repr(reference.run_coop_experiment(config, payoffs)))
+
+
+class TestVictoryTable:
+    @settings(deadline=None)
+    @given(st.integers(2, 12))
+    def test_matches_the_dp_per_word(self, n):
+        assert victory_table(n) == [(s, victories_dp(s)) for s in all_strategies(n)]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_bruteforce(self, n):
+        assert victory_table(n) == [(s, victories_bruteforce(s)) for s in all_strategies(n)]

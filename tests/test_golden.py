@@ -58,6 +58,10 @@ GOLDEN = {
         "20f4e3a46d89407ea1ad19a1b6c4bdcc6613d9f88ce88f4fc63697a2574684c0",
     "life scene.txt --steps 2 --viewport=-3,-2,0,3":
         "22546a1ef056e390227ac65d43ad38d1c31ed41cf0f613ae53724a881026d46d",
+    # Recorded before victory_table walked the word trie: the largest
+    # table the CLI accepts.
+    "updown --n 16 --format csv":
+        "7bba1d059d6c7308b9f29e26e53a104f3345761a1198491f26a37dffbcf09014",
 }
 
 SEEDED = ("coop", "market", "theorem")
