@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Protocol
 
-from .seeds import DEFAULT_SEED, below, substream
+from .seeds import DEFAULT_SEED, substream
 
 PRICES = (900, 1000, 1100)
 DAYS_PER_WEEK = 7
@@ -196,8 +196,11 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     the three committed trades of `sample_consistent_policy`, then the
     week), then group B (per trader: one `randint(-shares, cash //
     price)` per day, as `FreePolicy` draws it). Bests are exact integer
-    maxima. The draws go through `seeds.below`, which consumes the
-    stream exactly as `randint` does.
+    maxima. Each draw applies the stdlib's `_randbelow` rule inline, as
+    `seeds.below` states it: `r = getrandbits(n.bit_length())`, retried
+    while `r >= n`, so the stream is consumed exactly as `randint`
+    consumes it; tests/test_market.py pins this by replaying whole
+    reports through `randint`.
 
     Weeks are played on plain (cash, shares) ints, with the clamping
     and the non-negativity check of `Portfolio`; `_run_week` with
@@ -205,19 +208,27 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     """
     if tests < 1 or group_size < 1:
         raise ValueError("tests and group_size must be positive")
-    # randint(-START_SHARES, START_CASH // price) is -START_SHARES + below(width).
-    widths = [START_SHARES + START_CASH // price + 1 for price in PRICES]
+    # randint(-START_SHARES, START_CASH // price) draws r in [0, n) and
+    # returns r - START_SHARES, for these (n, k = n.bit_length()) pairs.
+    widths = [(n, n.bit_length())
+              for n in (START_SHARES + START_CASH // price + 1 for price in PRICES)]
     results = []
     clamped_total = 0
     for t in range(tests):
         rng = substream(seed, t)
+        getrandbits = rng.getrandbits
         dynamics = sample_dynamics(rng)
         path = dynamics.path(days)
         week = [(price, PRICES.index(price)) for price in path]
         last = path[-1]
         best_a = best_b = -1
         for _ in range(group_size):
-            trades = [below(rng, width) - START_SHARES for width in widths]
+            trades = []
+            for n, k in widths:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                trades.append(r - START_SHARES)
             cash, shares = START_CASH, START_SHARES
             for price, level in week:
                 # The Portfolio clamp, by comparison: cash // price >= 0 >= -shares.
@@ -237,7 +248,13 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         for _ in range(group_size):
             cash, shares = START_CASH, START_SHARES
             for price in path:
-                trade = below(rng, shares + cash // price + 1) - shares
+                # randint(-shares, cash // price): r in [0, n), minus shares.
+                n = shares + cash // price + 1
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                trade = r - shares
                 cash -= trade * price
                 shares += trade
                 if cash < 0 or shares < 0:

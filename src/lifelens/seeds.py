@@ -32,6 +32,10 @@ def below(rng: random.Random, n: int) -> int:
     below(rng, hi - lo + 1)` equals `rng.randint(lo, hi)` and
     `seq[below(rng, len(seq))]` equals `rng.choice(seq)`, value and
     stream state alike, with fewer Python frames per draw.
+
+    `choices` and `market.run_market_experiment` restate this rule
+    inline; tests/test_seeds.py pins this function and `choices`, and
+    the market's replay through `randint` pins the third copy.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)

@@ -14,11 +14,14 @@ built on `seeds.below` and `seeds.choices` must give the same episode
 and leave the stream in the same state as their `rng.choice` versions.
 The coop experiment drawn as flip lists must give the same report as
 the one that walks every meeting. `victory_table`'s walk of the word
-trie must give each word the count `victories_dp` and
-`victories_bruteforce` give it alone.
+trie must give each word the count `victories_dp` gives it alone, and
+the count of decks whose pattern it is.
 """
 
 import random
+from collections import Counter
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +39,7 @@ from lifelens.observe import (
     random_deterministic_episode,
     random_episode,
 )
-from lifelens.updown import all_strategies, victories_bruteforce, victories_dp, victory_table
+from lifelens.updown import VictoryCount, all_strategies, deck_pattern, victories_dp, victory_table
 
 coords = st.integers(-12, 12)
 states = st.frozensets(st.tuples(coords, coords), max_size=90).map(CAState)
@@ -217,6 +220,10 @@ class TestVictoryTable:
     def test_matches_the_dp_per_word(self, n):
         assert victory_table(n) == [(s, victories_dp(s)) for s in all_strategies(n)]
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_bruteforce(self, n):
-        assert victory_table(n) == [(s, victories_bruteforce(s)) for s in all_strategies(n)]
+        # Each deck is won by exactly one word, its pattern (pinned in
+        # test_updown.py), so one pass over the n! decks counts every word.
+        patterns = Counter(deck_pattern(d) for d in permutations(range(1, n + 1)))
+        assert victory_table(n) == [(s, VictoryCount(patterns[s], factorial(n)))
+                                    for s in all_strategies(n)]

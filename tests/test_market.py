@@ -10,7 +10,7 @@ kernel; the A-versus-B rate bounds live in test_acceptance.py.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lifelens.market import (
     ConsistentPolicy,
@@ -236,9 +236,16 @@ class TestExperiment:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12),
-           st.integers(1, 12))
+           st.integers(1, 40))
+    # Group B draws here at 4, 5 and 6 bits, so a draw width fixed at 5 or
+    # computed once per week would not replay.
+    @example(seed=2, tests=4, group=12, days=30)
     def test_whole_report_replayed_through_portfolios(self, seed, tests, group, days):
-        """Every test and the clamp count, re-derived by `_run_week`."""
+        """Every test and the clamp count, re-derived by `_run_week`.
+
+        The replay draws through `randint`, so it also pins the
+        `_randbelow` rule `run_market_experiment` applies inline.
+        """
         expected = []
         clamped_total = 0
         for t in range(tests):

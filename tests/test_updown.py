@@ -69,6 +69,19 @@ class TestStrategy:
         with pytest.raises(ValueError):
             Strategy(("sideways",))
 
+    def test_names_the_first_foreign_word(self):
+        with pytest.raises(ValueError, match="got 'x'"):
+            Strategy((UP, "x", ["y"]))
+
+    def test_unhashable_word_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"got \['up'\]"):
+            Strategy((["up"],))
+
+    def test_accepts_an_equal_but_distinct_word(self):
+        word = "".join(["u", "p"])
+        assert word is not UP
+        assert Strategy((word, DOWN)).to_text() == "UD"
+
     def test_alternating(self):
         assert Strategy.alternating(5).to_text() == "UDUD"
         assert Strategy.alternating(5, first=DOWN).to_text() == "DUDU"
