@@ -20,6 +20,7 @@ import contextlib
 import errno
 import os
 import sys
+from math import factorial
 
 from . import ca, coop, market, observe, updown
 from .seeds import DEFAULT_SEED
@@ -191,20 +192,22 @@ def cmd_updown(args, out: list[str]) -> int:
         if args.n is not None and args.n != strategy.deck_size:
             raise ValueError(f"strategy {strategy} implies n={strategy.deck_size}, "
                              f"got --n {args.n}")
-        rows = [(strategy, updown.victories_dp(strategy))]
+        count = updown.victories_dp(strategy)
+        rows, total = [(str(strategy), count.wins)], count.total
     else:
-        rows = updown.victory_table(args.n if args.n is not None else 10)
+        n = args.n if args.n is not None else 10
+        rows, total = updown.victory_table(n), factorial(n)
     if args.format == "csv":
         out.append("strategy,wins,total")
-        out.extend(f"{s},{c.wins},{c.total}" for s, c in rows)
+        out.extend(f"{w},{c},{total}" for w, c in rows)
     elif args.strategy is not None:
-        [(strategy, count)] = rows
-        out.append(f"strategy {strategy}: wins {count.wins} of {count.total} decks")
+        [(word, wins)] = rows
+        out.append(f"strategy {word}: wins {wins} of {total} decks")
     else:
-        out.extend(f"{s} {c.wins:>12} / {c.total}" for s, c in rows)
+        out.extend(f"{w} {c:>12} / {total}" for w, c in rows)
         # The first maximum, as in max_victories: ties go to the UP-first word.
-        best, best_count = max(rows, key=lambda row: row[1].wins)
-        out.append(f"maximizer: {best} with {best_count.wins} of {best_count.total} decks")
+        best, best_wins = max(rows, key=lambda row: row[1])
+        out.append(f"maximizer: {best} with {best_wins} of {total} decks")
     return 0
 
 

@@ -10,9 +10,10 @@ deck; `victories_dp` counts one word's relative orderings with a dynamic
 program over (prefix length, rank of the last dealt card). The table of
 all 2^(n-1) words, `victory_table`, runs the same program once per word
 prefix by walking the trie of words, so words sharing a prefix share its
-rows; `victories_dp` is its oracle. The table's best entry is the best
-achievable count, and `contradictory_bonus_demo` exhibits the classic
-trick: switching words mid-series beats any fixed word by one.
+rows; it yields plain (word text, wins) rows, and `victories_dp` is its
+oracle. The table's best entry is the best achievable count, and
+`contradictory_bonus_demo` exhibits the classic trick: switching words
+mid-series beats any fixed word by one.
 """
 
 from __future__ import annotations
@@ -173,32 +174,34 @@ def _walk(row: list[int], letters: int, counts: list[int]) -> None:
         _walk([total - p for p in prefix], letters - 1, counts)
 
 
-def victory_table(n: int) -> list[tuple[Strategy, VictoryCount]]:
-    """Every word for deck size n with its exact win count, in
-    `all_strategies` order; n is limited to 2..16.
+def victory_table(n: int) -> list[tuple[str, int]]:
+    """Every word for deck size n as a (compact text, wins) row, in
+    `all_strategies` order; each word wins that many of the factorial(n)
+    decks, and n is limited to 2..16.
 
-    A depth-first walk of the word trie, UP before DOWN, builds each
-    prefix's `victories_dp` row once from its parent's: the UP row is
-    the parent's prefix sums, the DOWN row their complements to the
-    total. The two words under a last prefix share one sum of its UP
-    row, s; the DOWN row sums to len(row) * total - s.
+    The text is `Strategy.to_text`'s, such as 'UDUD'. A depth-first walk
+    of the word trie, UP before DOWN, builds each prefix's `victories_dp`
+    row once from its parent's: the UP row is the parent's prefix sums,
+    the DOWN row their complements to the total. The two words under a
+    last prefix share one sum of its UP row, s; the DOWN row sums to
+    len(row) * total - s.
     """
     if not 2 <= n <= 16:
         raise ValueError(f"deck size must be within 2..16, got {n}")
     counts: list[int] = []
     _walk([1], n - 1, counts)
-    total = factorial(n)
-    return [(strategy, VictoryCount(count, total))
-            for strategy, count in zip(all_strategies(n), counts)]
+    return list(zip(map("".join, itertools.product("UD", repeat=n - 1)), counts))
 
 
 def max_victories(n: int) -> tuple[Strategy, VictoryCount]:
     """The best fixed word for deck size n and its exact win count.
 
     Ties go to the earliest word in lexicographic order with UP first,
-    so of the two zigzag words the one starting UP is reported.
+    so of the two zigzag words the one starting UP is reported. Only the
+    winning row of `victory_table` becomes a `Strategy`.
     """
-    return max(victory_table(n), key=lambda row: row[1].wins)
+    text, count = max(victory_table(n), key=lambda row: row[1])
+    return Strategy.from_text(text), VictoryCount(count, factorial(n))
 
 
 @dataclass(frozen=True)

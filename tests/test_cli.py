@@ -171,6 +171,22 @@ class TestUpdown:
         assert calls == []
         assert out.splitlines()[-1].startswith("maximizer: UDUDUDUDUDU with ")
 
+    def test_table_builds_no_strategy_per_row(self, capsys, monkeypatch):
+        built = []
+        post_init = updown.Strategy.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(updown.Strategy, "__post_init__", counted)
+        code, out, _ = run_cli(capsys, "updown", "--n", "12")
+        assert code == 0
+        assert built == []
+        assert out.splitlines()[-1] == "maximizer: UDUDUDUDUDU with 2702765 of 479001600 decks"
+        best, _ = updown.max_victories(12)
+        assert built == [best]
+
 
 class TestCoop:
     ARGS = ("coop", "--env-size", "2", "--population", "5", "--reps", "3",

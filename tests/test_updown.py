@@ -140,11 +140,6 @@ class TestCounts:
         assert victories_bruteforce(Strategy.from_text("UDU")) == VictoryCount(5, 24)
         assert victories_bruteforce(Strategy.from_text("UUU")) == VictoryCount(1, 24)
 
-    def test_dp_matches_bruteforce_to_n7(self):
-        for n in range(2, 8):
-            for s in all_strategies(n):
-                assert victories_dp(s) == victories_bruteforce(s)
-
     def test_bruteforce_refuses_big_decks(self):
         with pytest.raises(ValueError):
             victories_bruteforce(Strategy.alternating(10))
