@@ -33,9 +33,11 @@ def below(rng: random.Random, n: int) -> int:
     `seq[below(rng, len(seq))]` equals `rng.choice(seq)`, value and
     stream state alike, with fewer Python frames per draw.
 
-    `choices` and `market.run_market_experiment` restate this rule
-    inline; tests/test_seeds.py pins this function and `choices`, and
-    the market's replay through `randint` pins the third copy.
+    `choices` restates this rule inline, and `market.run_market_experiment`
+    twice: for group A's committed trades and for group B's daily trade.
+    tests/test_seeds.py pins this function and `choices`; the market's
+    replay through `randint`, by way of `sample_consistent_policy` and
+    `FreePolicy`, pins both market copies.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)

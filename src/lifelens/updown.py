@@ -8,12 +8,13 @@ position i demands card i+1 above card i, DOWN demands it below.
 Win counts are exact integers. `victories_bruteforce` enumerates every
 deck; `victories_dp` counts one word's relative orderings with a dynamic
 program over (prefix length, rank of the last dealt card). The table of
-all 2^(n-1) words, `victory_table`, runs the same program once per word
-prefix by walking the trie of words, so words sharing a prefix share its
-rows; it yields plain (word text, wins) rows, and `victories_dp` is its
-oracle. The table's best entry is the best achievable count, and
-`contradictory_bonus_demo` exhibits the classic trick: switching words
-mid-series beats any fixed word by one.
+all 2^(n-1) words, `victory_table`, builds one DP row per prefix of an
+UP-first word, so words sharing a prefix share its rows, and takes the
+DOWN-first half as the UP-first half reversed. It yields plain (word
+text, wins) rows, and `victories_dp` is its oracle. The table's best
+entry is the best achievable count, and `contradictory_bonus_demo`
+exhibits the classic trick: switching words mid-series beats any fixed
+word by one.
 """
 
 from __future__ import annotations
@@ -163,15 +164,14 @@ def all_strategies(n: int) -> Iterator[Strategy]:
 
 def _walk(row: list[int], letters: int, counts: list[int]) -> None:
     """Append to `counts` the wins of every word that extends, by
-    `letters` more letters, the prefix whose DP row is `row`; UP first."""
+    `letters` more letters, the prefix whose DP row is `row`; UP first.
+    With no letters left that is `victories_dp`'s last step, sum(row)."""
+    if letters == 0:
+        counts.append(sum(row))
+        return
     prefix = list(itertools.accumulate(row, initial=0))
-    total = prefix[-1]
-    if letters == 1:
-        s = sum(prefix)
-        counts += (s, len(prefix) * total - s)
-    else:
-        _walk(prefix, letters - 1, counts)
-        _walk([total - p for p in prefix], letters - 1, counts)
+    _walk(prefix, letters - 1, counts)
+    _walk([prefix[-1] - p for p in prefix], letters - 1, counts)
 
 
 def victory_table(n: int) -> list[tuple[str, int]]:
@@ -180,16 +180,19 @@ def victory_table(n: int) -> list[tuple[str, int]]:
     decks, and n is limited to 2..16.
 
     The text is `Strategy.to_text`'s, such as 'UDUD'. A depth-first walk
-    of the word trie, UP before DOWN, builds each prefix's `victories_dp`
-    row once from its parent's: the UP row is the parent's prefix sums,
-    the DOWN row their complements to the total. The two words under a
-    last prefix share one sum of its UP row, s; the DOWN row sums to
-    len(row) * total - s.
+    of the UP-first words builds one `victories_dp` row per prefix from
+    its parent's: the UP row is the parent's prefix sums, the DOWN row
+    their complements to the total. The DOWN-first half is the UP-first
+    half reversed: mapping each card c to n + 1 - c turns a deck that a
+    word wins into one that its complement, every letter swapped, wins,
+    and the complement of the i-th word in UP-before-DOWN order is the
+    i-th from the end.
     """
     if not 2 <= n <= 16:
         raise ValueError(f"deck size must be within 2..16, got {n}")
     counts: list[int] = []
-    _walk([1], n - 1, counts)
+    _walk([0, 1], n - 2, counts)
+    counts += counts[::-1]
     return list(zip(map("".join, itertools.product("UD", repeat=n - 1)), counts))
 
 

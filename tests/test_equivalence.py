@@ -13,9 +13,11 @@ looks up every viewport cell, for any viewport, and unpacking
 built on `seeds.below` and `seeds.choices` must give the same episode
 and leave the stream in the same state as their `rng.choice` versions.
 The coop experiment drawn as flip lists must give the same report as
-the one that walks every meeting. `victory_table`'s walk of the word
-trie must give each word, by its text, the count `victories_dp` gives
-it alone, and the count of decks whose pattern it is.
+the one that walks every meeting. `victory_table`, which builds one DP
+row per prefix of an UP-first word and takes the DOWN-first half as the
+UP-first half reversed, must give each word, by its text, the count
+`victories_dp` gives it alone, and the count of decks whose pattern it
+is.
 """
 
 import random

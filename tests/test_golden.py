@@ -66,6 +66,10 @@ GOLDEN = {
     # (word text, wins) rows: the report form and its maximizer line.
     "updown --n 16":
         "c98ef5b3371fecabd8f789136c9f5b384595f9fced682c580661503bd5faa647",
+    # Recorded before victory_table mirrored the UP-first half of the
+    # word table: the smallest table, where the walk has no letters left.
+    "updown --n 2":
+        "2b0e33c49a9b3ea9b45517593480834afd2bd831b4f0c5860c51e516eb88e2e7",
 }
 
 SEEDED = ("coop", "market", "theorem")

@@ -128,6 +128,14 @@ class TestWins:
         for s in all_strategies(len(deck)):
             assert wins(s, deck) == (s == pattern)
 
+    @given(small_decks)
+    def test_reversed_ranks_swap_every_letter(self, deck):
+        # victory_table's mirror: c -> n + 1 - c maps the decks a word wins
+        # onto the decks its complement wins.
+        flipped = deck_pattern(tuple(len(deck) + 1 - c for c in deck))
+        swapped = tuple(DOWN if w == UP else UP for w in deck_pattern(deck).words)
+        assert flipped == Strategy(swapped)
+
 
 class TestCounts:
     def test_n3_by_hand(self):
