@@ -8,7 +8,7 @@ for dead cells and 'O' for live ones, one row per line, top row first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Cell = tuple[int, int]
 """Lattice position as (x, y): x grows rightward, y downward (text rows)."""
@@ -86,14 +86,19 @@ def parse_pattern(text: str) -> CAState:
     return CAState(frozenset(cells))
 
 
-def pack_rows(cells: Iterable[Cell], base: int) -> dict[int, int]:
-    """The cells as one int per occupied row: bit i of rows[y] is cell
-    (base + i, y). Every x must be at least base."""
+def pack_rows(state: CAState) -> tuple[int, dict[int, int]]:
+    """(base, rows): the live cells as one int per occupied row, where
+    bit i of rows[y] is cell (base + i, y).
+
+    base is one left of the leftmost live cell, so bit 0 of every row is
+    dead and a neighbour one column left of any live cell still has a
+    bit. The empty state packs to no rows (its base is 0)."""
+    base = min(state.live)[0] - 1 if state.live else 0
     rows: dict[int, int] = {}
     get = rows.get
-    for x, y in cells:
+    for x, y in state.live:
         rows[y] = get(y, 0) | 1 << (x - base)
-    return rows
+    return base, rows
 
 
 def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = None) -> str:
@@ -103,8 +108,12 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
     box is used. Live cells outside the viewport are not shown. The empty
     state renders to the empty string when no viewport is given.
 
-    Each row is its packed int, with a marker bit at `width` so bin()
-    gives exactly width digits after the marker, read low bit first.
+    The whole state is packed once. Each row is cropped to the viewport
+    by a shift that puts cell x0 at bit 0 and a mask of `width` bits; a
+    marker bit at `width` makes bin() give exactly width digits after
+    it, read low bit first. The left shift is capped at `width`, since
+    every bit it moves past the width is masked off anyway, so a window
+    far left of the state costs no more than one near it.
     """
     if viewport is None:
         box = state.bounding_box()
@@ -116,8 +125,11 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
         x0, y0, width, height = viewport
         if width < 0 or height < 0:
             raise ValueError("viewport width and height must be non-negative")
-    rows = pack_rows(((x, y) for x, y in state.live if x0 <= x < x0 + width), x0)
-    text = "\n".join(bin(rows.get(y, 0) | 1 << width)[:2:-1] for y in range(y0, y0 + height))
+    base, rows = pack_rows(state)
+    lift, drop = min(max(base - x0, 0), width), max(x0 - base, 0)
+    mask = (1 << width) - 1
+    text = "\n".join(bin(rows.get(y, 0) << lift >> drop & mask | mask + 1)[:2:-1]
+                     for y in range(y0, y0 + height))
     return text.replace("0", ".").replace("1", "O")
 
 
@@ -127,16 +139,12 @@ def life_step(s: CAState) -> CAState:
     A cell with exactly 3 live neighbors is live next step; with exactly
     2 it keeps its current value; any other count leaves it dead.
 
-    The rows come from pack_rows with base one left of the leftmost live
-    cell, so no birth falls below bit 0. The eight shifted neighbour rows
+    The rows come from pack_rows, whose bit 0 is dead in every row, so
+    no birth falls below bit 0. The eight shifted neighbour rows
     go through a bitwise counter: `ones` and `twos` hold the count's low
     bits, and `many` flags a count of four or more.
     """
-    live = s.live
-    if not live:
-        return CAState()
-    base = min(x for x, _ in live) - 1
-    rows = pack_rows(live, base)
+    base, rows = pack_rows(s)
     get = rows.get
     cells = []
     for y in {r + dy for r in rows for dy in (-1, 0, 1)}:

@@ -7,10 +7,13 @@ handler returns, so stdout stays empty on exit 2. Handlers report bad
 input by raising ValueError. main turns any ValueError a handler raises,
 internal invariants such as the market's no-negative-portfolio check
 included, into exit 2 with one `lifelens <command>: <reason>` line on
-stderr. A failed write to stdout, such as a closed pipe, a full disk or a
-descriptor closed at startup, exits 2 the same way, with the reason
-`cannot write output: <strerror>`. Exit 2 holds even when stderr cannot
-be written.
+stderr. An OverflowError, a size too large for an int, such as a
+viewport width of 10**20, exits 2 the same way with its own message, and
+a MemoryError exits 2 with the reason `out of memory`, so a huge flag
+never takes the violation code. A failed write to stdout, such as a
+closed pipe, a full disk or a descriptor closed at startup, exits 2 the
+same way, with the reason `cannot write output: <strerror>`. Exit 2
+holds even when stderr cannot be written.
 """
 
 from __future__ import annotations
@@ -303,11 +306,14 @@ def main(argv: list[str] | None = None) -> int:
         code = args.run(args, out)
         _write(sys.stdout, out)
         return code
-    except ValueError as exc:
-        # Exit 2 even when stderr cannot take the reason either.
-        with contextlib.suppress(ValueError):
-            _write(sys.stderr, [f"lifelens {args.command}: {exc}"])
-        return 2
+    except MemoryError:
+        reason = "out of memory"
+    except (ValueError, OverflowError) as exc:
+        reason = str(exc)
+    # Exit 2 even when stderr cannot take the reason either.
+    with contextlib.suppress(ValueError):
+        _write(sys.stderr, [f"lifelens {args.command}: {reason}"])
+    return 2
 
 
 if __name__ == "__main__":

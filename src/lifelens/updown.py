@@ -42,13 +42,9 @@ class Strategy:
     def __post_init__(self):
         if not self.words:
             raise ValueError("a strategy needs at least one word")
-        # tuple.count matches as `in (UP, DOWN)` does (identity, then ==);
-        # the loop runs only to name the first foreign word.
-        words = self.words
-        if words.count(UP) + words.count(DOWN) != len(words):
-            for w in words:
-                if w not in (UP, DOWN):
-                    raise ValueError(f"strategy words must be UP or DOWN, got {w!r}")
+        for w in self.words:
+            if w not in (UP, DOWN):
+                raise ValueError(f"strategy words must be UP or DOWN, got {w!r}")
 
     @classmethod
     def from_text(cls, text: str) -> "Strategy":

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from lifelens import observe, updown
+from lifelens import cli, observe, updown
 from lifelens.cli import _write, main
 from lifelens.observe import ZERO, Observer
 
@@ -282,6 +282,9 @@ BAD_INPUTS = [
      VIEWPORT_FORMAT + "'a,b,c,d'"),
     ("life-viewport-empty-fields", ("life", PATH, "--viewport", ",,,"), b"O\n",
      VIEWPORT_FORMAT + "',,,'"),
+    # 1 << WIDTH raises OverflowError before anything is allocated.
+    ("life-viewport-too-wide", ("life", PATH, "--viewport", "0,0,99999999999999999999,1"),
+     b"O\n", "lifelens life: too many digits in integer"),
     ("life-negative-steps", ("life", PATH, "--steps", "-1"), b"O\n",
      "lifelens life: steps must be non-negative, got -1"),
     ("observe-negative-steps", ("observe", "--steps", "-2"), None,
@@ -326,6 +329,14 @@ class TestBadInput:
         code, out, err = run_cli(capsys, *(str(path) if a == PATH else a for a in argv))
         assert (code, out) == (2, "")
         assert err == stderr.replace(PATH, str(path)) + "\n"
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # An injected failure: a real one would exhaust the host's memory.
+        def exhausted(args, out):
+            out.append("partial")
+            raise MemoryError
+        monkeypatch.setattr(cli, "cmd_observe", exhausted)
+        assert run_cli(capsys, "observe") == (2, "", "lifelens observe: out of memory\n")
 
     def test_module_entry_point_exits_2(self):
         proc = subprocess.run(

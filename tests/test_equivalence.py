@@ -8,10 +8,13 @@ states, on crowds of gliders where the least-body tie-break and the halo
 test decide, and on every state of a random soup; a table of lone
 glider phases pins each halo cell and the tie rule. `render_pattern`,
 also on packed rows, must write the same text as the render oracle that
-looks up every viewport cell, for any viewport, and unpacking
-`pack_rows` must give back its cells. The episode generators
-built on `seeds.below` and `seeds.choices` must give the same episode
-and leave the stream in the same state as their `rng.choice` versions.
+looks up every viewport cell, for any viewport, and a window 10**8
+columns from the state must cost under 1 MiB. `pack_rows` must put its
+base one left of the leftmost live cell, leave bit 0 dead, and give
+back its cells when unpacked. The empty state is an explicit example
+for all four. The episode generators built on `seeds.below` and
+`seeds.choices` must give the same episode and leave the stream in the
+same state as their `rng.choice` versions.
 The coop experiment drawn as flip lists must give the same report as
 the one that walks every meeting. `victory_table`, which builds one DP
 row per prefix of an UP-first word and takes the DOWN-first half as the
@@ -21,6 +24,7 @@ is.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -82,8 +86,12 @@ def soup(seed: int, size: int = 60, density: float = 0.35) -> CAState:
         for _ in range(size)))
 
 
+EMPTY = CAState()
+
+
 class TestLifeStep:
     @given(states)
+    @example(EMPTY)
     def test_matches_the_counter_step(self, state):
         assert life_step(state) == reference.life_step(state)
 
@@ -93,10 +101,17 @@ class TestLifeStep:
 
 
 class TestPackRows:
-    @given(states, st.integers(0, 20))
-    def test_unpacking_gives_back_the_cells(self, state, slack):
-        base = min((x for x, _ in state.live), default=0) - slack
-        rows = pack_rows(state.live, base)
+    @given(states)
+    def test_base_is_one_left_of_the_leftmost_cell(self, state):
+        base, rows = pack_rows(state)
+        if state.live:
+            assert base == min(x for x, _ in state.live) - 1
+        assert all(row & 1 == 0 for row in rows.values())
+
+    @given(states)
+    @example(EMPTY)  # no rows
+    def test_unpacking_gives_back_the_cells(self, state):
+        base, rows = pack_rows(state)
         unpacked = {(base + i, y) for y, row in rows.items()
                     for i in range(row.bit_length()) if row >> i & 1}
         assert unpacked == state.live
@@ -111,12 +126,29 @@ class TestRenderPattern:
     @example(SPREAD, (-1, -2, 6, 4))  # cut on all four sides
     @example(SPREAD, (-1, -2, 3, 4))  # a live cell two columns right of it
     @example(SPREAD, None)  # the default viewport
+    @example(EMPTY, None)
+    @example(EMPTY, (-2, 3, 3, 2))
     def test_matches_the_cell_lookup(self, state, viewport):
         assert render_pattern(state, viewport) == reference.render_pattern(state, viewport)
+
+    # A window 10**8 columns from the state: its rows are shifted by at
+    # most the width, never by the distance, so no 10**8-bit int is built.
+    @pytest.mark.parametrize("x0", [-10**8, 10**8])
+    def test_far_viewport_stays_small(self, x0):
+        viewport = (x0, -13, 4, 3)
+        tracemalloc.start()
+        try:
+            text = render_pattern(SPREAD, viewport)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == reference.render_pattern(SPREAD, viewport) == "....\n....\n...."
+        assert peak < 2**20
 
 
 class TestFindGlider:
     @given(states)
+    @example(EMPTY)
     def test_matches_the_set_scan(self, state):
         assert find_glider(state) == reference.find_glider(state)
 
