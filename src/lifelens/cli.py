@@ -1,19 +1,22 @@
 """Command line front end. Output is a pure function of flags and seed.
 
 Exit codes: 0 success, 1 theorem violation, 2 usage, input or output
-error. Each subcommand handler appends its stdout lines to the list main
-passes in and returns its exit code; main writes stdout only after the
-handler returns, so stdout stays empty on exit 2. Handlers report bad
-input by raising ValueError. main turns any ValueError a handler raises,
-internal invariants such as the market's no-negative-portfolio check
-included, into exit 2 with one `lifelens <command>: <reason>` line on
+error, 3 an unexpected exception (a bug). Each subcommand handler
+appends its stdout lines to the list main passes in and returns its
+exit code; main writes stdout only after the handler returns, so stdout
+stays empty on exits 2 and 3. Handlers report bad input by raising
+ValueError. main turns any ValueError a handler raises, internal
+invariants such as the market's no-negative-portfolio check included,
+into exit 2 with one `lifelens <command>: <reason>` line on
 stderr. An OverflowError, a size too large for an int, such as a
 viewport width of 10**20, exits 2 the same way with its own message, and
 a MemoryError exits 2 with the reason `out of memory`, so a huge flag
 never takes the violation code. A failed write to stdout, such as a
 closed pipe, a full disk or a descriptor closed at startup, exits 2 the
 same way, with the reason `cannot write output: <strerror>`. Exit 2
-holds even when stderr cannot be written.
+holds even when stderr cannot be written. Any other exception is a bug:
+it exits 3 with stdout empty and its traceback on stderr, and still
+exits 3, the traceback lost, when stderr cannot be written.
 """
 
 from __future__ import annotations
@@ -121,6 +124,8 @@ def _parse_viewport(text: str) -> tuple[int, int, int, int]:
 
 
 def cmd_life(args, out: list[str]) -> int:
+    # A malformed viewport is reported before the file is read or run.
+    viewport = _parse_viewport(args.viewport) if args.viewport else None
     try:
         with open(args.pattern, "rb") as fh:
             data = fh.read()
@@ -135,9 +140,7 @@ def cmd_life(args, out: list[str]) -> int:
         raise ValueError(f"line {exc.line}, column {exc.column}: "
                          f"non-ASCII byte {ord(exc.found):#04x}") from None
     trace = ca.run(initial, args.steps)
-    if args.viewport:
-        viewport = _parse_viewport(args.viewport)
-    else:
+    if viewport is None:
         # The joint bounding box of all states; 0x0 when every state is empty.
         box = ca.CAState(frozenset().union(*(s.live for s in trace))).bounding_box()
         x0, y0, x1, y1 = box or (0, 0, -1, -1)
@@ -310,6 +313,13 @@ def main(argv: list[str] | None = None) -> int:
         reason = "out of memory"
     except (ValueError, OverflowError) as exc:
         reason = str(exc)
+    except Exception:
+        # A bug: its traceback goes to stderr, never to stdout. Imported
+        # here, as only this path needs it, to keep it off every start.
+        import traceback
+        with contextlib.suppress(ValueError):
+            _write(sys.stderr, [traceback.format_exc().rstrip("\n")])
+        return 3
     # Exit 2 even when stderr cannot take the reason either.
     with contextlib.suppress(ValueError):
         _write(sys.stderr, [f"lifelens {args.command}: {reason}"])

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .ca import Cell, CAState, Trace, life_step, pack_rows, GLIDER
-from .seeds import below, choices, substream
+from .seeds import choices, substream
 
 Label = Hashable
 """Perception labels are opaque; they only need equality and hashing."""
@@ -471,12 +471,11 @@ def random_episode(rng: random.Random, ent_labels: Sequence[Label],
     its end.
     """
     _check_episode_args(ent_labels, env_labels, max_len)
-    length = 1 + below(rng, max_len)
+    length = rng.randint(1, max_len)
     ents = choices(rng, ent_labels, length)
     envs = choices(rng, env_labels, length)
     if rng.random() < 0.5:
-        nxt_env = env_labels[below(rng, len(env_labels))]
-        return ObservedEpisode(0, ents, envs, (ZERO, nxt_env), True)
+        return ObservedEpisode(0, ents, envs, (ZERO, rng.choice(env_labels)), True)
     return ObservedEpisode(0, ents, envs, None, False)
 
 
@@ -496,9 +495,9 @@ def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label]
     _check_episode_args(ent_labels, env_labels, max_len)
     pairs = itertools.product(ent_labels, env_labels)
     table = dict(zip(pairs, choices(rng, env_labels, len(ent_labels) * len(env_labels))))
-    length = 1 + below(rng, max_len)
+    length = rng.randint(1, max_len)
     ents = choices(rng, ent_labels, length)
-    env = env_labels[below(rng, len(env_labels))]
+    env = rng.choice(env_labels)
     envs = []
     for ent in ents:
         envs.append(env)
@@ -557,8 +556,8 @@ def _random_trial(seed: int, trial: int, max_len: int) -> PropositionCheck:
     labels, then the episode.
     """
     rng = substream(seed, trial)
-    ents = _ENT_ALPHABET[:1 + below(rng, len(_ENT_ALPHABET))]
-    envs = _ENV_ALPHABET[:1 + below(rng, len(_ENV_ALPHABET))]
+    ents = _ENT_ALPHABET[:rng.randint(1, len(_ENT_ALPHABET))]
+    envs = _ENV_ALPHABET[:rng.randint(1, len(_ENV_ALPHABET))]
     generate = random_deterministic_episode if trial % 2 == 0 else random_episode
     ep = generate(rng, ents, envs, max_len)
     return check_proposition(ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs)))

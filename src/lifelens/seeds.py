@@ -24,33 +24,21 @@ def substream(seed: int, *path: int) -> random.Random:
     return random.Random(key)
 
 
-def below(rng: random.Random, n: int) -> int:
-    """A uniform int in [0, n), n >= 1, drawn exactly as `rng` would.
-
-    This is the stdlib's `_randbelow` on Python 3.10-3.13: take
-    k = n.bit_length() bits and retry while they reach n, so `lo +
-    below(rng, hi - lo + 1)` equals `rng.randint(lo, hi)` and
-    `seq[below(rng, len(seq))]` equals `rng.choice(seq)`, value and
-    stream state alike, with fewer Python frames per draw.
-
-    `choices` restates this rule inline, and `market.run_market_experiment`
-    twice: for group A's committed trades and for group B's daily trade.
-    tests/test_seeds.py pins this function and `choices`; the market's
-    replay through `randint`, by way of `sample_consistent_policy` and
-    `FreePolicy`, pins both market copies.
-    """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
     """`tuple(rng.choice(seq) for _ in range(count))`, drawn in one frame.
 
-    Each draw is `below(rng, len(seq))`, with the rule inlined so the
-    loop calls only `getrandbits`.
+    Each draw applies the stdlib's `_randbelow` rule on Python 3.10-3.13,
+    which `random.Random` does not document: with n = len(seq), take
+    k = n.bit_length() bits and retry while they reach n, so the values
+    and the stream state equal those of `rng.choice` while the loop calls
+    only `getrandbits`. Single draws elsewhere in the package call
+    `rng.randint` and `rng.choice` themselves.
+
+    `market.run_market_experiment` restates the rule twice, for group
+    A's committed trades and for group B's daily trade.
+    tests/test_seeds.py pins this function against `rng.choice`; the
+    market's replay through `randint`, by way of
+    `sample_consistent_policy` and `FreePolicy`, pins both market copies.
     """
     n = len(seq)
     k = n.bit_length()

@@ -338,6 +338,20 @@ class TestBadInput:
         monkeypatch.setattr(cli, "cmd_observe", exhausted)
         assert run_cli(capsys, "observe") == (2, "", "lifelens observe: out of memory\n")
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing-file"])
+    def test_malformed_viewport_is_reported_before_the_run(self, capsys, monkeypatch, tmp_path,
+                                                           exists):
+        # The viewport is parsed before the pattern file is read, so neither
+        # a missing file nor a 50,000-step run is reached.
+        def run(*args):
+            pytest.fail("ca.run was called before the viewport was checked")
+        monkeypatch.setattr(cli.ca, "run", run)
+        path = tmp_path / "block.txt"
+        if exists:
+            path.write_bytes(b"OO\nOO\n")
+        assert (run_cli(capsys, "life", str(path), "--steps", "50000", "--viewport", "abc")
+                == (2, "", VIEWPORT_FORMAT + "'abc'\n"))
+
     def test_module_entry_point_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lifelens", "observe", "--steps", "-2"],
@@ -345,6 +359,42 @@ class TestBadInput:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("lifelens observe: ")
         assert proc.stderr.count("\n") == 1
+
+
+class TestUnexpectedError:
+    """Any other exception, a bug, exits 3: not 1, the violation code."""
+
+    @staticmethod
+    def inject(monkeypatch):
+        def broken(args, out):
+            out.append("partial")
+            raise RuntimeError("injected")
+        monkeypatch.setattr(cli, "cmd_observe", broken)
+
+    def test_exits_3_with_the_traceback_on_stderr(self, capsys, monkeypatch):
+        self.inject(monkeypatch)
+        code, out, err = run_cli(capsys, "observe")
+        assert (code, out) == (3, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("\nRuntimeError: injected\n")
+
+    def test_exits_3_when_stderr_is_closed(self, capsys, monkeypatch):
+        # With fd 2 closed at startup sys.stderr is None; print would then
+        # write the traceback to stdout.
+        self.inject(monkeypatch)
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["observe"]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_exits_3_when_stderr_is_full(self, capsys, monkeypatch):
+        # In-process: the failed write points this test's own file at
+        # os.devnull, which touches no descriptor of the runner's.
+        self.inject(monkeypatch)
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stderr", full)
+            assert main(["observe"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestDispatch:

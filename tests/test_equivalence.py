@@ -12,9 +12,11 @@ looks up every viewport cell, for any viewport, and a window 10**8
 columns from the state must cost under 1 MiB. `pack_rows` must put its
 base one left of the leftmost live cell, leave bit 0 dead, and give
 back its cells when unpacked. The empty state is an explicit example
-for all four. The episode generators built on `seeds.below` and
-`seeds.choices` must give the same episode and leave the stream in the
-same state as their `rng.choice` versions.
+for all four. The episode generators, which draw label runs through
+`seeds.choices` and single values through `rng.randint` and
+`rng.choice`, must give the same episode and leave the stream in the
+same state as their `rng.choice` versions, and each theorem trial must
+give the verdict on the episode a stdlib replay of its stream draws.
 The coop experiment drawn as flip lists must give the same report as
 the one that walks every meeting. `victory_table`, which builds one DP
 row per prefix of an UP-first word and takes the DOWN-first half as the
@@ -38,12 +40,15 @@ from lifelens.coop import CoopConfig, PayoffMatrix, run_coop_experiment
 from lifelens.observe import (
     GLIDER_PHASES,
     ZERO,
+    PerceptionSpace,
+    check_proposition,
     find_glider,
     glider_observer,
     perceive_trace,
     random_deterministic_episode,
     random_episode,
 )
+from lifelens.seeds import DEFAULT_SEED, substream
 from lifelens.updown import all_strategies, deck_pattern, victories_dp, victory_table
 
 coords = st.integers(-12, 12)
@@ -230,6 +235,21 @@ class TestEpisodeGenerators:
         assert (fast(ours, ent_labels, env_labels, max_len)
                 == slow(theirs, ent_labels, env_labels, max_len))
         assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("max_len", [1, 7, 200])
+    @pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED])
+    def test_theorem_trial_matches_a_stdlib_replay(self, seed, max_len):
+        # The trial's documented draw order: randint(1, 5) labels per
+        # alphabet, then the episode, deterministic on even trials.
+        for trial in range(300):
+            rng = substream(seed, trial)
+            ents = ("A", "B", "C", "D", "E")[:rng.randint(1, 5)]
+            envs = ("V", "W", "X", "Y", "Z")[:rng.randint(1, 5)]
+            generate = (reference.random_deterministic_episode if trial % 2 == 0
+                        else reference.random_episode)
+            ep = generate(rng, ents, envs, max_len)
+            space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
+            assert observe._random_trial(seed, trial, max_len) == check_proposition(ep, space)
 
 
 class TestCoop:
