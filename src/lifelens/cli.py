@@ -125,7 +125,7 @@ def _parse_viewport(text: str) -> tuple[int, int, int, int]:
 
 def cmd_life(args, out: list[str]) -> int:
     # A malformed viewport is reported before the file is read or run.
-    viewport = _parse_viewport(args.viewport) if args.viewport else None
+    viewport = _parse_viewport(args.viewport) if args.viewport is not None else None
     try:
         with open(args.pattern, "rb") as fh:
             data = fh.read()

@@ -46,15 +46,18 @@ class PayoffMatrix:
 _BY_BOOL = (Stance.NONCOOP, Stance.COOP)
 
 
+def _gain(payoffs: PayoffMatrix) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The one take table: gain[stance][opponent] is the stance's take,
+    both indexed by the is-COOP bool."""
+    return (payoffs.nn, payoffs.nc), (payoffs.cn, payoffs.cc)
+
+
 def meeting_payoff(a: Stance, b: Stance, payoffs: PayoffMatrix = PayoffMatrix()) -> tuple[int, int]:
-    """Payoffs (for a, for b) of one meeting."""
-    table = {
-        (Stance.COOP, Stance.COOP): (payoffs.cc, payoffs.cc),
-        (Stance.COOP, Stance.NONCOOP): (payoffs.cn, payoffs.nc),
-        (Stance.NONCOOP, Stance.COOP): (payoffs.nc, payoffs.cn),
-        (Stance.NONCOOP, Stance.NONCOOP): (payoffs.nn, payoffs.nn),
-    }
-    return table[(a, b)]
+    """Payoffs (for a, for b) of one meeting, read from the take table
+    `_gain(payoffs)`. A non-Stance argument raises ValueError."""
+    gain = _gain(payoffs)
+    a, b = _BY_BOOL.index(a), _BY_BOOL.index(b)
+    return gain[a][b], gain[b][a]
 
 
 def flip_probability_for_even_odds(m: int) -> float:
@@ -153,24 +156,23 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
 
     A player's flips are drawn as the list of meetings before which one
     fired. Its stance is constant between flips, so its takes come from
-    per-stance prefix sums of `gain` over the environment row, one
-    difference per run of meetings. Scoring draws nothing, so all n flip
-    lists are drawn before any is scored; the winner (the first maximum
-    total), its history and flag, and the non-contradictory count are
-    then read off the totals and the flip lists.
+    per-stance prefix sums of the take table `gain = _gain(payoffs)`, the
+    one `meeting_payoff` reads, over the environment row, one difference
+    per run of meetings. Scoring draws nothing, so all n flip lists are
+    drawn before any is scored; the winner (the first maximum total), its
+    history and flag, and the non-contradictory count are then read off
+    the totals and the flip lists. Each repetition's four int tallies go
+    to one list that the report sums once.
     """
     m = config.env_size
     n = config.population
     p = config.resolved_flip_probability()
-    # gain[stance][opponent]: the stance's take, indexed by is-COOP bools.
-    gain = tuple(tuple(meeting_payoff(s, o, payoffs)[0] for o in _BY_BOOL) for s in _BY_BOOL)
+    gain = _gain(payoffs)
     meetings = range(m)
 
     results = []
-    noncontra_total = 0
-    coop_sum = coop_meetings = 0
-    payoff_sum = 0
-
+    # Per repetition: (non-contradictory players, coop takes, coop meetings, all takes).
+    tallies = []
     for r in range(config.repetitions):
         rng = substream(config.seed, r)
         rand = rng.random
@@ -209,10 +211,7 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
             total_payoff=best,
             contradictory=bool(winner_flips),
         )
-        noncontra_total += noncontra
-        coop_sum += rep_coop_sum
-        coop_meetings += rep_coop_meetings
-        payoff_sum += rep_sum
+        tallies.append((noncontra, rep_coop_sum, rep_coop_meetings, rep_sum))
         results.append(RepetitionResult(
             index=r,
             env_coop_count=sum(env),
@@ -225,6 +224,7 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
             mean_payoff_noncoop=_mean(rep_sum - rep_coop_sum, n * m - rep_coop_meetings),
         ))
 
+    noncontra_total, coop_sum, coop_meetings, payoff_sum = map(sum, zip(*tallies))
     return CoopReport(
         config=config,
         payoffs=payoffs,

@@ -24,7 +24,6 @@ from lifelens.coop import (
     PayoffMatrix,
     RepetitionResult,
     _mean,
-    meeting_payoff,
 )
 from lifelens.observe import (
     GLIDER_PHASES,
@@ -156,8 +155,6 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     m = config.env_size
     n = config.population
     p = config.resolved_flip_probability()
-    # gain[stance][opponent]: the stance's take, indexed by is-COOP bools.
-    gain = tuple(tuple(meeting_payoff(s, o, payoffs)[0] for o in _BY_BOOL) for s in _BY_BOOL)
 
     results = []
     noncontra_total = 0
@@ -186,7 +183,11 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
                     stance = not stance
                     flipped = True
                 history.append(stance)
-                take = gain[stance][opponent]
+                # Each take by field name, independent of the package's take table.
+                if stance:
+                    take = payoffs.cc if opponent else payoffs.cn
+                else:
+                    take = payoffs.nc if opponent else payoffs.nn
                 total += take
                 if stance:
                     rep_coop_sum += take

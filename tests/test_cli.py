@@ -282,6 +282,9 @@ BAD_INPUTS = [
      VIEWPORT_FORMAT + "'a,b,c,d'"),
     ("life-viewport-empty-fields", ("life", PATH, "--viewport", ",,,"), b"O\n",
      VIEWPORT_FORMAT + "',,,'"),
+    # An empty value is malformed too, not a request for the default window.
+    ("life-viewport-empty-string", ("life", PATH, "--viewport", ""), b"O\n",
+     VIEWPORT_FORMAT + "''"),
     # 1 << WIDTH raises OverflowError before anything is allocated.
     ("life-viewport-too-wide", ("life", PATH, "--viewport", "0,0,99999999999999999999,1"),
      b"O\n", "lifelens life: too many digits in integer"),

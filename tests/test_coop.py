@@ -38,6 +38,23 @@ class TestPayoffs:
                 qb, qa = meeting_payoff(b, a, payoffs)
                 assert (pa, pb) == (qa, qb)
 
+    def test_table_by_value(self):
+        # Distinct cn and nc, so a swapped pair shows here and not only in
+        # test_symmetry.
+        C, N = Stance.COOP, Stance.NONCOOP
+        payoffs = PayoffMatrix(cc=5, cn=-3, nc=2, nn=1)
+        assert meeting_payoff(C, C, payoffs) == (5, 5)
+        assert meeting_payoff(C, N, payoffs) == (-3, 2)
+        assert meeting_payoff(N, C, payoffs) == (2, -3)
+        assert meeting_payoff(N, N, payoffs) == (1, 1)
+
+    @pytest.mark.parametrize("a, b", [("C", Stance.COOP), (Stance.NONCOOP, True),
+                                      (None, Stance.COOP), (1, 0)],
+                             ids=["value-string", "bool", "none", "ints"])
+    def test_rejects_a_non_stance(self, a, b):
+        with pytest.raises(ValueError):
+            meeting_payoff(a, b)
+
     def test_stance_str(self):
         assert str(Stance.COOP) == "C"
         assert str(Stance.NONCOOP) == "N"
