@@ -27,7 +27,11 @@ class PatternError(ValueError):
 
 @dataclass(frozen=True)
 class CAState:
-    """One automaton state: the finite set of cells holding value 1."""
+    """One automaton state: the finite set of cells holding value 1.
+
+    pack_rows memoises the state's packed rows on it as `_packed`, outside
+    the fields, so eq, hash and repr see only `live`.
+    """
 
     live: frozenset[Cell] = frozenset()
 
@@ -42,12 +46,16 @@ class CAState:
         return CAState(self.live | other.live)
 
     def bounding_box(self) -> tuple[int, int, int, int] | None:
-        """(x0, y0, x1, y1) inclusive, or None for the empty state."""
-        if not self.live:
+        """(x0, y0, x1, y1) inclusive, or None for the empty state.
+
+        Read from pack_rows: bit 1 of some row holds the leftmost cell,
+        the widest row's top bit the rightmost, and the row keys give y.
+        """
+        base, rows = pack_rows(self)
+        if not rows:
             return None
-        xs = [x for x, _ in self.live]
-        ys = [y for _, y in self.live]
-        return min(xs), min(ys), max(xs), max(ys)
+        width = max(map(int.bit_length, rows.values()))
+        return base + 1, min(rows), base + width - 1, max(rows)
 
 
 @dataclass(frozen=True)
@@ -92,12 +100,22 @@ def pack_rows(state: CAState) -> tuple[int, dict[int, int]]:
 
     base is one left of the leftmost live cell, so bit 0 of every row is
     dead and a neighbour one column left of any live cell still has a
-    bit. The empty state packs to no rows (its base is 0)."""
+    bit. The empty state packs to no rows (its base is 0).
+
+    The result is memoised on the state, outside its dataclass fields,
+    so a state is packed at most once; life_step stores the rows it
+    computes on the state it returns, so those are never packed at all.
+    Every caller shares the one dict: treat the rows as read-only."""
+    try:
+        return state._packed
+    except AttributeError:
+        pass
     base = min(state.live)[0] - 1 if state.live else 0
     rows: dict[int, int] = {}
     get = rows.get
     for x, y in state.live:
         rows[y] = get(y, 0) | 1 << (x - base)
+    object.__setattr__(state, "_packed", (base, rows))
     return base, rows
 
 
@@ -108,12 +126,15 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
     box is used. Live cells outside the viewport are not shown. The empty
     state renders to the empty string when no viewport is given.
 
-    The whole state is packed once. Each row is cropped to the viewport
-    by a shift that puts cell x0 at bit 0 and a mask of `width` bits; a
-    marker bit at `width` makes bin() give exactly width digits after
-    it, read low bit first. The left shift is capped at `width`, since
-    every bit it moves past the width is masked off anyway, so a window
-    far left of the state costs no more than one near it.
+    The rows come from pack_rows, so a state that life_step returned, or
+    one packed before, is read from its memo and not packed again; the
+    default viewport is read from the same rows. Each row is cropped to
+    the viewport by a shift that puts cell x0 at bit 0 and a mask of
+    `width` bits; a marker bit at `width` makes bin() give exactly width
+    digits after it, read low bit first. The left shift is capped at
+    `width`, since every bit it moves past the width is masked off
+    anyway, so a window far left of the state costs no more than one
+    near it.
     """
     if viewport is None:
         box = state.bounding_box()
@@ -143,10 +164,18 @@ def life_step(s: CAState) -> CAState:
     no birth falls below bit 0. The eight shifted neighbour rows
     go through a bitwise counter: `ones` and `twos` hold the count's low
     bits, and `many` flags a count of four or more.
+
+    The next rows are kept on the returned state for pack_rows to hand
+    out. They are first shifted so that bit 1 holds the new leftmost
+    cell, as pack_rows would place it: a birth on bit 0 moves them one
+    bit left, a dead left edge moves them right, so the ints never grow
+    by a bit per step.
     """
     base, rows = pack_rows(s)
     get = rows.get
     cells = []
+    nxt = {}
+    seen = 0
     for y in {r + dy for r in rows for dy in (-1, 0, 1)}:
         a, b, c = get(y - 1, 0), get(y, 0), get(y + 1, 0)
         ones = twos = many = 0
@@ -156,11 +185,22 @@ def life_step(s: CAState) -> CAState:
             many |= twos & carry
             twos ^= carry
         row = twos & ~many & (ones | b)
+        if row:
+            nxt[y] = row
+            seen |= row
         while row:
             low = row & -row
             cells.append((low.bit_length() - 1 + base, y))
             row ^= low
-    return CAState(frozenset(cells))
+    low = (seen & -seen).bit_length() - 1  # -1 when every cell died
+    if low == -1:
+        base = 0
+    elif low != 1:
+        nxt = {y: row << 1 >> low for y, row in nxt.items()}
+        base += low - 1
+    state = CAState(frozenset(cells))
+    object.__setattr__(state, "_packed", (base, nxt))
+    return state
 
 
 def run(initial: CAState, steps: int) -> Trace:

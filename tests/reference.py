@@ -94,17 +94,19 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
     box is used. Live cells outside the viewport are not shown. The empty
     state renders to the empty string when no viewport is given.
     """
+    live = state.live
     if viewport is None:
-        box = state.bounding_box()
-        if box is None:
+        # The bounding box from the cells, not from CAState.bounding_box,
+        # which reads the packed rows under test.
+        if not live:
             return ""
-        x0, y0, x1, y1 = box
-        width, height = x1 - x0 + 1, y1 - y0 + 1
+        xs, ys = zip(*live)
+        x0, y0 = min(xs), min(ys)
+        width, height = max(xs) - x0 + 1, max(ys) - y0 + 1
     else:
         x0, y0, width, height = viewport
         if width < 0 or height < 0:
             raise ValueError("viewport width and height must be non-negative")
-    live = state.live
     rows = []
     for y in range(y0, y0 + height):
         rows.append("".join("O" if (x, y) in live else "." for x in range(x0, x0 + width)))

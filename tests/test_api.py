@@ -1,17 +1,22 @@
 """The public API surface: the names `lifelens/__init__.py` exports,
-and the promise that the package needs nothing beyond the standard
-library at run time.
+the promise that the package needs nothing beyond the standard library
+at run time, a `CAState` that looks the same before and after its rows
+are memoised, and the module attributes a profiler rebinds, which the
+package must keep calling through.
 
 A change to this list is a change to the public API, so it has to be
 made here on purpose.
 """
 
+import dataclasses
 import json
+import pickle
 import subprocess
 import sys
 import types
 
 import lifelens
+from lifelens import ca, cli
 
 PUBLIC_NAMES = [
     "BLOCK", "BonusDemo", "CAState", "Cell", "ConsistentPolicy", "CoopConfig",
@@ -78,3 +83,46 @@ def test_runtime_needs_only_the_standard_library(tmp_path):
     outside = [name for name in result["loaded"]
                if name != "lifelens" and name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_packed_rows_stay_out_of_the_dataclass():
+    # life_step stores its rows on the state it returns; pack_rows stores
+    # them on a state it packs. Neither shows in the fields, eq or hash.
+    stepped = ca.life_step(ca.GLIDER)
+    plain = ca.CAState(stepped.live)
+    assert "_packed" in vars(stepped) and "_packed" not in vars(plain)
+    for state in (stepped, plain, ca.GLIDER):
+        ca.pack_rows(state)
+        assert [f.name for f in dataclasses.fields(state)] == ["live"]
+        assert repr(state) == f"CAState(live={state.live!r})"
+        assert dataclasses.asdict(state) == {"live": state.live}
+        assert pickle.loads(pickle.dumps(state)) == state
+    assert stepped == plain and hash(stepped) == hash(plain)
+
+
+# A profiler counts calls by rebinding these module attributes, so the
+# package must call through them. The glider observer's one call of
+# observe.find_glider per state is pinned in test_equivalence.py
+# (TestSoup.test_observer_detects_once_per_state).
+def counting(monkeypatch, module, name: str) -> list:
+    """Rebind module.name to a wrapper that logs each call's first argument."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda first, *rest: calls.append(first) or fn(first, *rest))
+    return calls
+
+
+def test_run_steps_through_the_module_life_step(monkeypatch):
+    calls = counting(monkeypatch, ca, "life_step")
+    trace = ca.run(ca.GLIDER, 7)
+    assert calls == list(trace.states[:-1])
+
+
+def test_life_renders_through_the_module_render_pattern(monkeypatch, tmp_path, capsys):
+    pattern = tmp_path / "glider.txt"
+    pattern.write_text(".O.\n..O\nOOO\n")
+    calls = counting(monkeypatch, ca, "render_pattern")
+    for extra in ([], ["--viewport", "0,0,4,4"]):
+        calls.clear()
+        assert cli.main(["life", str(pattern), "--steps", "4", *extra]) == 0
+        assert len(calls) == 5
+    capsys.readouterr()

@@ -68,6 +68,16 @@ class TestParsePattern:
         assert text == "....\n.OO.\n.OO.\n...."
 
 
+class TestBoundingBox:
+    @given(states)
+    def test_is_the_extent_of_the_cells(self, state):
+        if not state.live:
+            assert state.bounding_box() is None
+        else:
+            xs, ys = zip(*state.live)
+            assert state.bounding_box() == (min(xs), min(ys), max(xs), max(ys))
+
+
 class TestLifeStep:
     def test_empty_stays_empty(self):
         assert life_step(CAState(frozenset())) == CAState(frozenset())

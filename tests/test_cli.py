@@ -54,6 +54,12 @@ class TestLife:
                                f"--viewport={viewport}")
         assert (code, out) == (0, stdout)
 
+    def test_default_window_of_an_empty_run_is_0x0(self, capsys, tmp_path):
+        pattern = tmp_path / "empty.txt"
+        pattern.write_text("")
+        code, out, _ = run_cli(capsys, "life", str(pattern), "--steps", "2")
+        assert (code, out) == (0, "t=0\n\nt=1\n\nt=2\n")
+
     def test_glider_translates(self, capsys, tmp_path):
         pattern = tmp_path / "glider.txt"
         pattern.write_text(".O.\n..O\nOOO\n")

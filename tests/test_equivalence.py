@@ -12,17 +12,22 @@ looks up every viewport cell, for any viewport, and a window 10**8
 columns from the state must cost under 1 MiB. `pack_rows` must put its
 base one left of the leftmost live cell, leave bit 0 dead, and give
 back its cells when unpacked. The empty state is an explicit example
-for all four. The episode generators, which draw label runs through
-`seeds.choices` and single values through `rng.randint` and
-`rng.choice`, must give the same episode and leave the stream in the
-same state as their `rng.choice` versions, and each theorem trial must
-give the verdict on the episode a stdlib replay of its stream draws.
-The coop experiment drawn as flip lists must give the same report as
-the one that walks every meeting. `victory_table`, which builds one DP
-row per prefix of an UP-first word and takes the DOWN-first half as the
-UP-first half reversed, must give each word, by its text, the count
-`victories_dp` gives it alone, and the count of decks whose pattern it
-is.
+for all four. `pack_rows` memoises its result on the state, and
+`life_step` stores the rows it computed on the state it returns: such a
+state and an equal one built from its cells must give the same
+`pack_rows`, so the memo is the canonical packing, and the same
+`life_step`, `find_glider`, render and bounding box. A glider flying
+1,000 steps either way keeps every row int under 2**8. The episode
+generators, which draw label runs through `seeds.choices` and single
+values through `rng.randint` and `rng.choice`, must give the same
+episode and leave the stream in the same state as their `rng.choice`
+versions, and each theorem trial must give the verdict on the episode a
+stdlib replay of its stream draws. The coop experiment drawn as flip
+lists must give the same report as the one that walks every meeting.
+`victory_table`, which builds one DP row per prefix of an UP-first word
+and takes the DOWN-first half as the UP-first half reversed, must give
+each word, by its text, the count `victories_dp` gives it alone, and
+the count of decks whose pattern it is.
 """
 
 import random
@@ -35,7 +40,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 from lifelens import observe
-from lifelens.ca import CAState, life_step, pack_rows, parse_pattern, render_pattern, run
+from lifelens.ca import (
+    GLIDER,
+    CAState,
+    life_step,
+    pack_rows,
+    parse_pattern,
+    render_pattern,
+    run,
+)
 from lifelens.coop import CoopConfig, PayoffMatrix, run_coop_experiment
 from lifelens.observe import (
     GLIDER_PHASES,
@@ -121,6 +134,35 @@ class TestPackRows:
                     for i in range(row.bit_length()) if row >> i & 1}
         assert unpacked == state.live
         assert set(rows) == {y for _, y in state.live}
+
+
+class TestPackedMemo:
+    @given(states | glider_crowds, viewports)
+    @example(EMPTY, None)
+    @example(GLIDER, (-2, -1, 5, 4))
+    def test_stepped_state_matches_one_built_from_its_cells(self, state, viewport):
+        for stepped in run(state, 3).states[1:]:
+            fresh = CAState(frozenset(stepped.live))
+            assert "_packed" in vars(stepped)
+            assert "_packed" not in vars(fresh)
+            assert pack_rows(stepped) == pack_rows(fresh)
+            assert life_step(stepped) == life_step(fresh)
+            assert find_glider(stepped) == find_glider(fresh)
+            assert render_pattern(stepped) == render_pattern(fresh)
+            assert render_pattern(stepped, viewport) == render_pattern(fresh, viewport)
+            assert stepped.bounding_box() == fresh.bounding_box()
+
+    # GLIDER flies right, so its left edge dies; the mirrored one flies
+    # left, so births fall one column left of the leftmost cell.
+    @pytest.mark.parametrize("glider, dx", [(GLIDER, 250), (parse_pattern(".O.\nO..\nOOO"), -250)],
+                             ids=["rightward", "leftward"])
+    def test_rows_stay_small_over_a_long_flight(self, glider, dx):
+        trace = run(glider, 1000)
+        assert trace[1000] == glider.translate(dx, 250)
+        for state in trace:
+            base, rows = pack_rows(state)
+            assert base == min(x for x, _ in state.live) - 1
+            assert all(0 < row < 2**8 for row in rows.values())
 
 
 class TestRenderPattern:
