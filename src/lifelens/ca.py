@@ -7,7 +7,7 @@ for dead cells and 'O' for live ones, one row per line, top row first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 Cell = tuple[int, int]
@@ -30,10 +30,32 @@ class CAState:
     """One automaton state: the finite set of cells holding value 1.
 
     pack_rows memoises the state's packed rows on it as `_packed`, outside
-    the fields, so eq, hash and repr see only `live`.
+    the fields, so eq, hash and repr see only `live`. A state that
+    life_step returns holds only those rows: its `live` is unpacked from
+    them on first read and stored on the state, so later reads are plain
+    attribute hits. Until then `vars(state)` lacks `live`, and a pickle
+    or copy of the state carries only the rows.
     """
 
-    live: frozenset[Cell] = frozenset()
+    # A factory, not a default, so no class attribute hides a `live`
+    # that is not set yet and a read of it reaches __getattr__.
+    live: frozenset[Cell] = field(default_factory=frozenset)
+
+    def __getattr__(self, name: str):
+        # Reached only when `name` is missing from the state: `live` on a
+        # stepped state before its first read, or a name it never has.
+        if name != "live":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        base, rows = self._packed
+        cells = []
+        for y, row in rows.items():
+            while row:
+                low = row & -row
+                cells.append((low.bit_length() - 1 + base, y))
+                row ^= low
+        live = frozenset(cells)
+        object.__setattr__(self, "live", live)
+        return live
 
     @property
     def population(self) -> int:
@@ -104,7 +126,8 @@ def pack_rows(state: CAState) -> tuple[int, dict[int, int]]:
 
     The result is memoised on the state, outside its dataclass fields,
     so a state is packed at most once; life_step stores the rows it
-    computes on the state it returns, so those are never packed at all.
+    computes on the state it returns, so those are never packed at all,
+    and that state's `live` is unpacked from them only on first read.
     Every caller shares the one dict: treat the rows as read-only."""
     try:
         return state._packed
@@ -165,15 +188,16 @@ def life_step(s: CAState) -> CAState:
     go through a bitwise counter: `ones` and `twos` hold the count's low
     bits, and `many` flags a count of four or more.
 
-    The next rows are kept on the returned state for pack_rows to hand
-    out. They are first shifted so that bit 1 holds the new leftmost
-    cell, as pack_rows would place it: a birth on bit 0 moves them one
-    bit left, a dead left edge moves them right, so the ints never grow
-    by a bit per step.
+    The next rows are all the returned state holds: pack_rows hands them
+    out, and its `live` is unpacked from them on first read, so a caller
+    that only packs, such as a render, never builds the cell set. They
+    are first shifted so that bit 1 holds the new leftmost cell, as
+    pack_rows would place it: a birth on bit 0 moves them one bit left,
+    a dead left edge moves them right, so the ints never grow by a bit
+    per step.
     """
     base, rows = pack_rows(s)
     get = rows.get
-    cells = []
     nxt = {}
     seen = 0
     for y in {r + dy for r in rows for dy in (-1, 0, 1)}:
@@ -188,17 +212,13 @@ def life_step(s: CAState) -> CAState:
         if row:
             nxt[y] = row
             seen |= row
-        while row:
-            low = row & -row
-            cells.append((low.bit_length() - 1 + base, y))
-            row ^= low
     low = (seen & -seen).bit_length() - 1  # -1 when every cell died
     if low == -1:
         base = 0
     elif low != 1:
         nxt = {y: row << 1 >> low for y, row in nxt.items()}
         base += low - 1
-    state = CAState(frozenset(cells))
+    state = object.__new__(CAState)
     object.__setattr__(state, "_packed", (base, nxt))
     return state
 

@@ -1,21 +1,27 @@
 """The public API surface: the names `lifelens/__init__.py` exports,
 the promise that the package needs nothing beyond the standard library
 at run time, a `CAState` that looks the same before and after its rows
-are memoised, and the module attributes a profiler rebinds, which the
-package must keep calling through.
+are memoised and before and after a stepped state's cells are unpacked,
+and the module attributes a profiler rebinds, which the package must
+keep calling through.
 
 A change to this list is a change to the public API, so it has to be
 made here on purpose.
 """
 
+import copy
 import dataclasses
 import json
 import pickle
+import random
 import subprocess
 import sys
 import types
 
+import pytest
+
 import lifelens
+import reference
 from lifelens import ca, cli
 
 PUBLIC_NAMES = [
@@ -86,11 +92,16 @@ def test_runtime_needs_only_the_standard_library(tmp_path):
 
 
 def test_packed_rows_stay_out_of_the_dataclass():
-    # life_step stores its rows on the state it returns; pack_rows stores
-    # them on a state it packs. Neither shows in the fields, eq or hash.
+    # life_step stores its rows on the state it returns, and its cells
+    # only once `live` is read; pack_rows stores them on a state it
+    # packs. Neither shows in the fields, repr, eq or hash.
     stepped = ca.life_step(ca.GLIDER)
+    assert list(vars(stepped)) == ["_packed"]
     plain = ca.CAState(stepped.live)
-    assert "_packed" in vars(stepped) and "_packed" not in vars(plain)
+    assert vars(stepped).keys() == {"_packed", "live"}
+    assert "_packed" not in vars(plain)
+    assert dataclasses.fields(ca.CAState)[0].default is dataclasses.MISSING
+    assert ca.CAState().live == frozenset() and "live" in vars(ca.CAState())
     for state in (stepped, plain, ca.GLIDER):
         ca.pack_rows(state)
         assert [f.name for f in dataclasses.fields(state)] == ["live"]
@@ -98,6 +109,73 @@ def test_packed_rows_stay_out_of_the_dataclass():
         assert dataclasses.asdict(state) == {"live": state.live}
         assert pickle.loads(pickle.dumps(state)) == state
     assert stepped == plain and hash(stepped) == hash(plain)
+
+
+# Each makes a fresh stepped glider, whose `live` has not been read.
+UNREAD = {
+    "eq": lambda cells: ca.life_step(ca.GLIDER) == ca.CAState(cells),
+    "eq-reflected": lambda cells: ca.CAState(cells) == ca.life_step(ca.GLIDER),
+    "hash": lambda cells: hash(ca.life_step(ca.GLIDER)) == hash(ca.CAState(cells)),
+    "repr": lambda cells: repr(ca.life_step(ca.GLIDER)) == repr(ca.CAState(cells)),
+    "asdict": lambda cells: dataclasses.asdict(ca.life_step(ca.GLIDER)) == {"live": cells},
+    "replace": lambda cells: dataclasses.replace(ca.life_step(ca.GLIDER)) == ca.CAState(cells),
+    "population": lambda cells: ca.life_step(ca.GLIDER).population == len(cells),
+}
+
+
+@pytest.mark.parametrize("check", UNREAD.values(), ids=UNREAD)
+def test_an_unread_stepped_state_equals_one_built_from_its_cells(check):
+    assert check(frozenset(reference.life_step(ca.GLIDER).live))
+
+
+@pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_an_unread_stepped_state_is_duplicated_as_its_rows(duplicate):
+    # The duplicate carries only the rows and unpacks its own cells.
+    stepped = ca.life_step(ca.GLIDER)
+    twin = duplicate(stepped)
+    assert list(vars(stepped)) == list(vars(twin)) == ["_packed"]
+    assert twin.live == reference.life_step(ca.GLIDER).live
+    assert twin == stepped and hash(twin) == hash(stepped)
+    assert ca.pack_rows(twin) == ca.pack_rows(ca.CAState(twin.live))
+
+
+def test_only_live_is_unpacked_on_demand():
+    stepped = ca.life_step(ca.GLIDER)
+    assert hasattr(stepped, "nope") is False
+    with pytest.raises(AttributeError, match="'CAState' object has no attribute 'nope'"):
+        stepped.nope
+    assert list(vars(stepped)) == ["_packed"]
+    # Unpacked once: later reads return the stored set.
+    assert stepped.live is stepped.live is vars(stepped)["live"]
+    # Every cell of a lone cell dies, so its successor has no rows at all.
+    died = ca.life_step(ca.CAState(frozenset({(3, 4)})))
+    assert ca.pack_rows(died) == (0, {}) and died.live == frozenset() and died == ca.CAState()
+
+
+def test_life_never_unpacks_a_stepped_state(monkeypatch, tmp_path, capsys):
+    # lifelens life only renders, and a render reads the packed rows, so
+    # the cells of a state that life_step returned are never built. The
+    # output is still the set-based oracle's, frame by frame.
+    rng = random.Random(20)
+    text = "\n".join("".join("O" if rng.random() < 0.35 else "." for _ in range(24))
+                     for _ in range(24))
+    pattern = tmp_path / "soup.txt"
+    pattern.write_text(text)
+    traces, run = [], ca.run
+    monkeypatch.setattr(ca, "run", lambda *args: traces.append(run(*args)) or traces[-1])
+    assert cli.main(["life", str(pattern), "--steps", "12"]) == 0
+    [trace] = traces
+    assert [("live" in vars(state)) for state in trace.states[1:]] == [False] * 12
+    states = [ca.parse_pattern(text)]
+    for _ in range(12):
+        states.append(reference.life_step(states[-1]))
+    assert list(trace) == states
+    xs, ys = zip(*frozenset().union(*(state.live for state in states)))
+    viewport = (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+    frames = (f"t={t}\n{reference.render_pattern(state, viewport)}"
+              for t, state in enumerate(states))
+    assert capsys.readouterr().out == "\n\n".join(frames) + "\n"
 
 
 # A profiler counts calls by rebinding these module attributes, so the

@@ -263,6 +263,7 @@ class TestTheorem:
 PATH = "<pattern>"
 DIR = object()
 VIEWPORT_FORMAT = "lifelens life: viewport must be X0,Y0,WIDTH,HEIGHT integers, got "
+VIEWPORT_SIZE = "lifelens life: viewport WIDTH and HEIGHT must be within 0..4096, got "
 BAD_INPUTS = [
     ("life-missing-file", ("life", PATH), None,
      f"lifelens life: cannot read {PATH}: {os.strerror(errno.ENOENT)}"),
@@ -281,7 +282,9 @@ BAD_INPUTS = [
     ("life-first-fault-wins", ("life", PATH), b"O?\n\xc3\xa9\n",
      "lifelens life: line 1, column 2: unexpected character '?'"),
     ("life-bad-viewport", ("life", PATH, "--viewport", "0,0,-1,2"), b"O\n",
-     "lifelens life: viewport width and height must be non-negative"),
+     VIEWPORT_SIZE + "'0,0,-1,2'"),
+    ("life-viewport-negative-height", ("life", PATH, "--viewport", "0,0,2,-1"), b"O\n",
+     VIEWPORT_SIZE + "'0,0,2,-1'"),
     ("life-viewport-three-fields", ("life", PATH, "--viewport", "1,2,3"), b"O\n",
      VIEWPORT_FORMAT + "'1,2,3'"),
     ("life-viewport-letters", ("life", PATH, "--viewport", "a,b,c,d"), b"O\n",
@@ -291,9 +294,10 @@ BAD_INPUTS = [
     # An empty value is malformed too, not a request for the default window.
     ("life-viewport-empty-string", ("life", PATH, "--viewport", ""), b"O\n",
      VIEWPORT_FORMAT + "''"),
-    # 1 << WIDTH raises OverflowError before anything is allocated.
     ("life-viewport-too-wide", ("life", PATH, "--viewport", "0,0,99999999999999999999,1"),
-     b"O\n", "lifelens life: too many digits in integer"),
+     b"O\n", VIEWPORT_SIZE + "'0,0,99999999999999999999,1'"),
+    ("life-viewport-too-high", ("life", PATH, "--viewport", "0,0,1,4097"), b"O\n",
+     VIEWPORT_SIZE + "'0,0,1,4097'"),
     ("life-negative-steps", ("life", PATH, "--steps", "-1"), b"O\n",
      "lifelens life: steps must be non-negative, got -1"),
     ("observe-negative-steps", ("observe", "--steps", "-2"), None,
@@ -347,6 +351,16 @@ class TestBadInput:
         monkeypatch.setattr(cli, "cmd_observe", exhausted)
         assert run_cli(capsys, "observe") == (2, "", "lifelens observe: out of memory\n")
 
+    def test_overflow_exits_2(self, capsys, monkeypatch):
+        # An injected failure, as no flag is known to overflow before it
+        # allocates: a size too large for the interpreter.
+        def overflowed(args, out):
+            out.append("partial")
+            raise OverflowError("cannot fit 'int' into an index-sized integer")
+        monkeypatch.setattr(cli, "cmd_observe", overflowed)
+        assert run_cli(capsys, "observe") == (
+            2, "", "lifelens observe: cannot fit 'int' into an index-sized integer\n")
+
     @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing-file"])
     def test_malformed_viewport_is_reported_before_the_run(self, capsys, monkeypatch, tmp_path,
                                                            exists):
@@ -360,6 +374,23 @@ class TestBadInput:
             path.write_bytes(b"OO\nOO\n")
         assert (run_cli(capsys, "life", str(path), "--steps", "50000", "--viewport", "abc")
                 == (2, "", VIEWPORT_FORMAT + "'abc'\n"))
+
+    @pytest.mark.parametrize("viewport", ["0,0,-1,2", "0,0,4097,1"])
+    def test_viewport_size_is_checked_before_the_run(self, capsys, monkeypatch, tmp_path,
+                                                     viewport):
+        # Neither the missing file nor a 50,000-step run is reached.
+        monkeypatch.setattr(cli.ca, "run", lambda *args: pytest.fail("ca.run was called"))
+        assert (run_cli(capsys, "life", str(tmp_path / "missing.txt"), "--steps", "50000",
+                        "--viewport", viewport)
+                == (2, "", f"{VIEWPORT_SIZE}{viewport!r}\n"))
+
+    def test_viewport_at_the_bound_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "block.txt"
+        path.write_bytes(b"OO\nOO\n")
+        code, out, err = run_cli(capsys, "life", str(path), "--steps", "0",
+                                 "--viewport=-4094,0,4096,1")
+        assert (code, err) == (0, "")
+        assert out == "t=0\n" + "." * 4094 + "OO\n"
 
     def test_module_entry_point_exits_2(self):
         proc = subprocess.run(

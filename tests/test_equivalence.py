@@ -16,7 +16,8 @@ for all four. `pack_rows` memoises its result on the state, and
 `life_step` stores the rows it computed on the state it returns: such a
 state and an equal one built from its cells must give the same
 `pack_rows`, so the memo is the canonical packing, and the same
-`life_step`, `find_glider`, render and bounding box. A glider flying
+`life_step`, `find_glider`, render and bounding box. The cells such a
+state unpacks on the first read of `live` must be the counter step's. A glider flying
 1,000 steps either way keeps every row int under 2**8. The episode
 generators, which draw label runs through `seeds.choices` and single
 values through `rng.randint` and `rng.choice`, must give the same
@@ -137,6 +138,15 @@ class TestPackRows:
 
 
 class TestPackedMemo:
+    @given(states | glider_crowds)
+    @example(EMPTY)
+    @example(CAState(frozenset({(3, 4)})))  # every cell dies
+    def test_unpacked_cells_match_the_counter_step(self, state):
+        stepped = life_step(state)
+        assert "live" not in vars(stepped)
+        assert stepped.live == reference.life_step(state).live
+        assert vars(stepped)["live"] is stepped.live
+
     @given(states | glider_crowds, viewports)
     @example(EMPTY, None)
     @example(GLIDER, (-2, -1, 5, 4))
