@@ -29,12 +29,14 @@ class PatternError(ValueError):
 class CAState:
     """One automaton state: the finite set of cells holding value 1.
 
-    pack_rows memoises the state's packed rows on it as `_packed`, outside
-    the fields, so eq, hash and repr see only `live`. A state that
-    life_step returns holds only those rows: its `live` is unpacked from
-    them on first read and stored on the state, so later reads are plain
-    attribute hits. Until then `vars(state)` lacks `live`, and a pickle
-    or copy of the state carries only the rows.
+    A state holds its cells in one or both of two forms: `live`, the
+    cell set, and `_packed`, the `(base, rows)` that pack_rows hands
+    out. A constructor gives a state `live`, and life_step gives it
+    `_packed`; the other form is derived on first read and stored on the
+    state, so later reads are plain attribute hits. `_packed` is not a
+    field, so eq, hash, repr and `dataclasses.asdict` see only `live`.
+    `vars(state)` shows only the forms the state holds, and a pickle or
+    copy of the state carries what it holds.
     """
 
     # A factory, not a default, so no class attribute hides a `live`
@@ -42,30 +44,32 @@ class CAState:
     live: frozenset[Cell] = field(default_factory=frozenset)
 
     def __getattr__(self, name: str):
-        # Reached only when `name` is missing from the state: `live` on a
-        # stepped state before its first read, or a name it never has.
-        if name != "live":
+        # Reached only when `name` is missing from the state: the form of
+        # its cells that it does not hold yet, or a name it never has. A
+        # state that holds neither form, such as one a copy has not filled
+        # in yet, derives nothing.
+        held = vars(self)
+        if name == "_packed" and "live" in held:
+            live = held["live"]
+            base = min(live)[0] - 1 if live else 0
+            rows: dict[int, int] = {}
+            get = rows.get
+            for x, y in live:
+                rows[y] = get(y, 0) | 1 << (x - base)
+            value = base, rows
+        elif name == "live" and "_packed" in held:
+            base, rows = held["_packed"]
+            cells = []
+            for y, row in rows.items():
+                while row:
+                    low = row & -row
+                    cells.append((low.bit_length() - 1 + base, y))
+                    row ^= low
+            value = frozenset(cells)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        base, rows = self._packed
-        cells = []
-        for y, row in rows.items():
-            while row:
-                low = row & -row
-                cells.append((low.bit_length() - 1 + base, y))
-                row ^= low
-        live = frozenset(cells)
-        object.__setattr__(self, "live", live)
-        return live
-
-    @property
-    def population(self) -> int:
-        return len(self.live)
-
-    def translate(self, dx: int, dy: int) -> "CAState":
-        return CAState(frozenset((x + dx, y + dy) for x, y in self.live))
-
-    def union(self, other: "CAState") -> "CAState":
-        return CAState(self.live | other.live)
+        object.__setattr__(self, name, value)
+        return value
 
     def bounding_box(self) -> tuple[int, int, int, int] | None:
         """(x0, y0, x1, y1) inclusive, or None for the empty state.
@@ -124,22 +128,10 @@ def pack_rows(state: CAState) -> tuple[int, dict[int, int]]:
     dead and a neighbour one column left of any live cell still has a
     bit. The empty state packs to no rows (its base is 0).
 
-    The result is memoised on the state, outside its dataclass fields,
-    so a state is packed at most once; life_step stores the rows it
-    computes on the state it returns, so those are never packed at all,
-    and that state's `live` is unpacked from them only on first read.
-    Every caller shares the one dict: treat the rows as read-only."""
-    try:
-        return state._packed
-    except AttributeError:
-        pass
-    base = min(state.live)[0] - 1 if state.live else 0
-    rows: dict[int, int] = {}
-    get = rows.get
-    for x, y in state.live:
-        rows[y] = get(y, 0) | 1 << (x - base)
-    object.__setattr__(state, "_packed", (base, rows))
-    return base, rows
+    This is the state's `_packed` form, packed at most once and kept on
+    the state as CAState describes. Every caller shares the one dict:
+    treat the rows as read-only."""
+    return state._packed
 
 
 def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = None) -> str:
@@ -149,15 +141,14 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
     box is used. Live cells outside the viewport are not shown. The empty
     state renders to the empty string when no viewport is given.
 
-    The rows come from pack_rows, so a state that life_step returned, or
-    one packed before, is read from its memo and not packed again; the
-    default viewport is read from the same rows. Each row is cropped to
-    the viewport by a shift that puts cell x0 at bit 0 and a mask of
-    `width` bits; a marker bit at `width` makes bin() give exactly width
-    digits after it, read low bit first. The left shift is capped at
-    `width`, since every bit it moves past the width is masked off
-    anyway, so a window far left of the state costs no more than one
-    near it.
+    The rows come from pack_rows, so a state that holds them (see
+    CAState) is not packed again; the default viewport is read from the
+    same rows. Each row is cropped to the viewport by a shift that puts
+    cell x0 at bit 0 and a mask of `width` bits; a marker bit at `width`
+    makes bin() give exactly width digits after it, read low bit first.
+    The left shift is capped at `width`, since every bit it moves past
+    the width is masked off anyway, so a window far left of the state
+    costs no more than one near it.
     """
     if viewport is None:
         box = state.bounding_box()
@@ -188,13 +179,12 @@ def life_step(s: CAState) -> CAState:
     go through a bitwise counter: `ones` and `twos` hold the count's low
     bits, and `many` flags a count of four or more.
 
-    The next rows are all the returned state holds: pack_rows hands them
-    out, and its `live` is unpacked from them on first read, so a caller
-    that only packs, such as a render, never builds the cell set. They
-    are first shifted so that bit 1 holds the new leftmost cell, as
-    pack_rows would place it: a birth on bit 0 moves them one bit left,
-    a dead left edge moves them right, so the ints never grow by a bit
-    per step.
+    The next rows are all the returned state holds, as its `_packed`
+    (see CAState), so a caller that only packs, such as a render, never
+    builds the cell set. They are first shifted so that bit 1 holds the
+    new leftmost cell, as pack_rows would place it: a birth on bit 0
+    moves them one bit left, a dead left edge moves them right, so the
+    ints never grow by a bit per step.
     """
     base, rows = pack_rows(s)
     get = rows.get

@@ -347,16 +347,15 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
     (y, x) cell list is lexicographically least wins, so detection is a
     function of the state alone.
 
-    Rows come from pack_rows, which reads the state's memo: a state that
-    life_step returned, or that was packed before, is not packed again.
-    The stencils only shift rows left, so any base at or left of the
-    leftmost live cell would do; an empty state has no rows and no
-    detection. For each row, top down, and each phase, `hits` ANDs the
-    phase's shifted body rows and inverted halo rows, so one bit marks
-    each anchor, the phase's (y, x)-least cell, in that row. An isolated
-    detection is a whole 8-connected component, so detections are
-    disjoint, an anchor has one phase at most, and the least low bit of
-    the first row with a hit is the least cell list.
+    Rows come from pack_rows, so a state that holds them (see CAState)
+    is not packed again. The stencils only shift rows left, so any base
+    at or left of the leftmost live cell would do; an empty state has no
+    rows and no detection. For each row, top down, and each phase,
+    `hits` ANDs the phase's shifted body rows and inverted halo rows, so
+    one bit marks each anchor, the phase's (y, x)-least cell, in that
+    row. An isolated detection is a whole 8-connected component, so
+    detections are disjoint, an anchor has one phase at most, and the
+    least low bit of the first row with a hit is the least cell list.
     """
     base, rows = pack_rows(state)
     for y in sorted(rows):

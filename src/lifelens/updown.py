@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 UP = "up"
 DOWN = "down"

@@ -6,13 +6,16 @@ a process of their own. Byte-identical repeatability across processes is
 asserted in test_acceptance.py.
 """
 
+import contextlib
 import errno
 import functools
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lifelens import cli, observe, updown
 from lifelens.cli import _write, main
@@ -116,7 +119,7 @@ class TestObserve:
         # then repeats label pairs, so both witness branches print.
         monkeypatch.setattr(observe, "glider_observer", lambda: Observer(
             ps_ent=lambda s: "A" if s.live else ZERO,
-            ps_env=lambda s: s.population % 3))
+            ps_env=lambda s: len(s.live) % 3))
         code, out, _ = run_cli(capsys, "observe")
         assert code == 0
         lines = out.splitlines()
@@ -435,6 +438,81 @@ class TestUnexpectedError:
             monkeypatch.setattr(sys, "stderr", full)
             assert main(["observe"]) == 3
         assert capsys.readouterr().out == ""
+
+
+# The exit-code contract over drawn argv: a subcommand, its size flags
+# and a subset of its other flags, each given a value of its kind (a
+# small int, 0 and negatives included, for a number) or, one time in
+# four, junk. Sizes are capped so that an example runs in milliseconds,
+# and the size flags whose defaults are large are always passed. For
+# life, the positional names a small pattern file in the module's
+# directory or a file that does not exist.
+JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e3", "0x10", "1.5", "UDX"])
+
+
+def ints(low: int, high: int):
+    return st.sampled_from([str(i) for i in range(low, high + 1)])
+
+
+SEEDS = ints(-1, 99)
+FORMATS = st.sampled_from(["report", "csv", "tsv"])
+VIEWPORT_FIELDS = ints(-1, 6) | st.sampled_from(["4097", "99999999999999999999", "a", ""])
+ARGV_FLAGS = {  # subcommand: (size flags always passed, other flags)
+    "life": ({"--steps": ints(-1, 20)}, {"--viewport": st.lists(VIEWPORT_FIELDS, max_size=5)
+                                         .map(",".join)}),
+    "observe": ({}, {"--steps": ints(-1, 20), "--format": FORMATS,
+                     "--scene": st.sampled_from(["glider-block", "lone-glider", "block-only",
+                                                 "soup"])}),
+    "updown": ({}, {"--n": ints(-1, 10), "--format": FORMATS,
+                    "--strategy": st.text("UD", max_size=9) | st.sampled_from(["UDX", "ud", "U D"])}),
+    "coop": ({"--population": ints(-1, 30), "--reps": ints(-1, 3), "--env-size": ints(-1, 20)},
+             {"--flip-probability": st.sampled_from(["0", "0.25", "1", "-0.5", "2"]),
+              "--seed": SEEDS, "--format": FORMATS}),
+    "market": ({"--tests": ints(-1, 5), "--group-size": ints(-1, 20), "--days": ints(-1, 10)},
+               {"--seed": SEEDS, "--format": FORMATS}),
+    "theorem": ({"--trials": ints(-1, 50), "--max-len": ints(-1, 50)}, {"--seed": SEEDS}),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    sizes, others = ARGV_FLAGS[command]
+    flags = {**sizes, **{flag: values for flag, values in others.items() if draw(st.booleans())}}
+    argv = [command, *(f"{flag}={draw(JUNK if draw(st.integers(0, 3)) == 0 else values)}"
+                       for flag, values in flags.items())]
+    if command == "life":
+        argv.insert(1, draw(st.sampled_from(["glider.txt", "missing.txt"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def pattern_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("patterns")
+    (directory / "glider.txt").write_text(".O.\n..O\nOOO\n")
+    return directory
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(argv=argvs())
+def test_any_argv_exits_0_or_2(pattern_dir, argv):
+    # Exit 1 (a theorem violation) and exit 3 (a bug) fail the test, as
+    # does a usage error that is not exit 2.
+    if argv[0] == "life":
+        argv[1] = str(pattern_dir / argv[1])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, handled = main(argv), True
+        except SystemExit as exc:  # argparse rejected the argv
+            code, handled = exc.code, False
+    assert code in (0, 2), (code, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == ""
+    elif handled:
+        assert out.getvalue() == ""
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"lifelens {argv[0]}: ") and err.getvalue() == line + "\n"
 
 
 class TestDispatch:

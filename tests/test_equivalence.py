@@ -12,10 +12,12 @@ looks up every viewport cell, for any viewport, and a window 10**8
 columns from the state must cost under 1 MiB. `pack_rows` must put its
 base one left of the leftmost live cell, leave bit 0 dead, and give
 back its cells when unpacked. The empty state is an explicit example
-for all four. `pack_rows` memoises its result on the state, and
+for all four; a cell at negative x and y, and rows exactly 7, 8 and 9
+bits wide, are explicit examples for the packing and unpacking round
+trips. A state built from cells packs its rows on first read, and
 `life_step` stores the rows it computed on the state it returns: such a
 state and an equal one built from its cells must give the same
-`pack_rows`, so the memo is the canonical packing, and the same
+`pack_rows`, so the stored rows are the canonical packing, and the same
 `life_step`, `find_glider`, render and bounding box. The cells such a
 state unpacks on the first read of `live` must be the counter step's. A glider flying
 1,000 steps either way keeps every row int under 2**8. The episode
@@ -106,6 +108,13 @@ def soup(seed: int, size: int = 60, density: float = 0.35) -> CAState:
 
 
 EMPTY = CAState()
+NEGATIVE = CAState(frozenset({(-5, -3)}))
+
+
+def blocks(width: int) -> CAState:
+    """Two still blocks whose packed rows, and their successor's, are
+    exactly `width` bits wide (width >= 7 keeps them apart)."""
+    return CAState(frozenset((x, y) for x in (0, 1, width - 3, width - 2) for y in (0, 1)))
 
 
 class TestLifeStep:
@@ -129,6 +138,10 @@ class TestPackRows:
 
     @given(states)
     @example(EMPTY)  # no rows
+    @example(NEGATIVE)
+    @example(blocks(7))  # rows one bit short of a byte, a byte, a bit over
+    @example(blocks(8))
+    @example(blocks(9))
     def test_unpacking_gives_back_the_cells(self, state):
         base, rows = pack_rows(state)
         unpacked = {(base + i, y) for y, row in rows.items()
@@ -141,6 +154,10 @@ class TestPackedMemo:
     @given(states | glider_crowds)
     @example(EMPTY)
     @example(CAState(frozenset({(3, 4)})))  # every cell dies
+    @example(NEGATIVE)
+    @example(blocks(7))
+    @example(blocks(8))
+    @example(blocks(9))
     def test_unpacked_cells_match_the_counter_step(self, state):
         stepped = life_step(state)
         assert "live" not in vars(stepped)
@@ -168,7 +185,7 @@ class TestPackedMemo:
                              ids=["rightward", "leftward"])
     def test_rows_stay_small_over_a_long_flight(self, glider, dx):
         trace = run(glider, 1000)
-        assert trace[1000] == glider.translate(dx, 250)
+        assert trace[1000] == CAState(frozenset((x + dx, y + 250) for x, y in glider.live))
         for state in trace:
             base, rows = pack_rows(state)
             assert base == min(x for x, _ in state.live) - 1

@@ -359,7 +359,7 @@ class TestGliderObserver:
     def test_all_phases_detected_anywhere(self):
         state = GLIDER
         for _ in range(4):
-            shifted = state.translate(-13, 41)
+            shifted = CAState(frozenset((x - 13, y + 41) for x, y in state.live))
             assert find_glider(shifted) == shifted.live
             state = run(state, 1)[1]
 
@@ -376,8 +376,8 @@ class TestGliderObserver:
         assert find_glider(state) == GLIDER.live
 
     def test_two_gliders_pick_the_least_body(self):
-        far = GLIDER.translate(20, 20)
-        both = GLIDER.union(far)
+        far = CAState(frozenset((x + 20, y + 20) for x, y in GLIDER.live))
+        both = CAState(GLIDER.live | far.live)
         assert find_glider(both) == GLIDER.live
 
     def test_observer_labels(self):
