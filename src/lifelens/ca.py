@@ -8,7 +8,7 @@ for dead cells and 'O' for live ones, one row per line, top row first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
 """Lattice position as (x, y): x grows rightward, y downward (text rows)."""
@@ -134,12 +134,22 @@ def pack_rows(state: CAState) -> tuple[int, dict[int, int]]:
     return state._packed
 
 
+def window(states: Iterable[CAState]) -> tuple[int, int, int, int]:
+    """(x0, y0, width, height): the joint bounding box of `states`, so
+    no live cell of any of them falls outside it, or (0, 0, 0, 0) when
+    every state is empty. This is the default window of a render."""
+    boxes = [box for box in map(CAState.bounding_box, states) if box] or [(0, 0, -1, -1)]
+    x0s, y0s, x1s, y1s = zip(*boxes)
+    x0, y0 = min(x0s), min(y0s)
+    return x0, y0, max(x1s) - x0 + 1, max(y1s) - y0 + 1
+
+
 def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = None) -> str:
     """Write a state in the same '.'/'O' format parse_pattern reads.
 
-    viewport is (x0, y0, width, height); by default the state's bounding
-    box is used. Live cells outside the viewport are not shown. The empty
-    state renders to the empty string when no viewport is given.
+    viewport is (x0, y0, width, height); by default it is the state's
+    own window (see window), so the empty state renders to the empty
+    string. Live cells outside the viewport are not shown.
 
     The rows come from pack_rows, so a state that holds them (see
     CAState) is not packed again; the default viewport is read from the
@@ -150,16 +160,9 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
     the width is masked off anyway, so a window far left of the state
     costs no more than one near it.
     """
-    if viewport is None:
-        box = state.bounding_box()
-        if box is None:
-            return ""
-        x0, y0, x1, y1 = box
-        width, height = x1 - x0 + 1, y1 - y0 + 1
-    else:
-        x0, y0, width, height = viewport
-        if width < 0 or height < 0:
-            raise ValueError("viewport width and height must be non-negative")
+    x0, y0, width, height = window((state,)) if viewport is None else viewport
+    if width < 0 or height < 0:
+        raise ValueError("viewport width and height must be non-negative")
     base, rows = pack_rows(state)
     lift, drop = min(max(base - x0, 0), width), max(x0 - base, 0)
     mask = (1 << width) - 1

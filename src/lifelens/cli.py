@@ -152,11 +152,7 @@ def cmd_life(args, out: list[str]) -> int:
                          f"non-ASCII byte {ord(exc.found):#04x}") from None
     trace = ca.run(initial, args.steps)
     if viewport is None:
-        # The joint bounding box of all states; 0x0 when every state is empty.
-        boxes = [box for box in map(ca.CAState.bounding_box, trace) if box] or [(0, 0, -1, -1)]
-        x0s, y0s, x1s, y1s = zip(*boxes)
-        x0, y0, x1, y1 = min(x0s), min(y0s), max(x1s), max(y1s)
-        viewport = (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+        viewport = ca.window(trace)
     for t, state in enumerate(trace):
         if t:
             out.append("")

@@ -397,9 +397,7 @@ def glider_observer() -> Observer:
 
     def ps_env(state: CAState) -> Label:
         body = detect(state)
-        if body is None:
-            return frozenset(state.live)
-        return frozenset(state.live - body)
+        return state.live if body is None else state.live - body
 
     return Observer(ps_ent=ps_ent, ps_env=ps_env, space=None)
 

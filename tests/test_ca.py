@@ -3,7 +3,7 @@ the update rule (blinker) or by checking all four diagonal translations
 once (glider drift), then pinned."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lifelens.ca import (
     BLOCK,
@@ -15,6 +15,7 @@ from lifelens.ca import (
     parse_pattern,
     render_pattern,
     run,
+    window,
 )
 
 cells = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
@@ -76,6 +77,23 @@ class TestBoundingBox:
         else:
             xs, ys = zip(*state.live)
             assert state.bounding_box() == (min(xs), min(ys), max(xs), max(ys))
+
+    @given(st.lists(states, max_size=4))
+    @example([])
+    @example([CAState(), CAState()])
+    @example([CAState(frozenset({(-3, -5)}))])
+    def test_window_is_the_extent_of_all_the_cells(self, group):
+        cells = frozenset().union(*(state.live for state in group))
+        if cells:
+            xs, ys = zip(*cells)
+            x0, y0 = min(xs), min(ys)
+            assert window(group) == (x0, y0, max(xs) - x0 + 1, max(ys) - y0 + 1)
+        else:
+            assert window(group) == (0, 0, 0, 0)
+        # Stepped states hold only rows; the window is read from them
+        # before the comparison states are built from their cells.
+        stepped = run(CAState(cells), 3).states
+        assert window(stepped) == window([CAState(state.live) for state in stepped])
 
 
 class TestLifeStep:

@@ -219,6 +219,11 @@ class TestRenderPattern:
         assert text == reference.render_pattern(SPREAD, viewport) == "....\n....\n...."
         assert peak < 2**20
 
+    @pytest.mark.parametrize("viewport", [(0, 0, -1, 2), (0, 0, 2, -1)])
+    def test_rejects_a_negative_size(self, viewport):
+        with pytest.raises(ValueError, match="^viewport width and height must be non-negative$"):
+            render_pattern(SPREAD, viewport)
+
 
 class TestFindGlider:
     @given(states)

@@ -152,6 +152,10 @@ class TestEpisodeValidation:
         with pytest.raises(ValueError):
             ObservedEpisode(0, ("A",), ("X",), None, True)
 
+    def test_rejects_an_empty_episode(self):
+        with pytest.raises(ValueError, match="^an episode spans at least one time step$"):
+            ObservedEpisode(0, (), (), None, False)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             episode(("A", "B"), ("X",))
