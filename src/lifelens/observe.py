@@ -298,40 +298,30 @@ def dual_view(ep: ObservedEpisode) -> ObservedEpisode:
 # The glider observer
 
 
-def _normalize(cells: frozenset[Cell]) -> tuple[Cell, ...]:
-    """Offsets relative to the (y, x)-least cell, in sorted order."""
-    ax, ay = min(cells, key=lambda c: (c[1], c[0]))
-    return tuple(sorted((x - ax, y - ay) for x, y in cells))
-
-
-def _glider_phases() -> tuple[tuple[Cell, ...], ...]:
-    phases = []
-    state = GLIDER
-    for _ in range(4):
-        phases.append(_normalize(state.live))
-        state = life_step(state)
-    return tuple(phases)
-
-
-GLIDER_PHASES = _glider_phases()
-
-
 # The farthest a halo cell lies right of its phase's anchor.
 _REACH = 3
 
 
 def _glider_stencils() -> tuple[tuple[tuple[Cell, ...], tuple[tuple[int, int, int], ...]], ...]:
-    """Per phase, its cells and one (dy, shift, flip) term per cell to
-    test: the body cells with flip 0, then the halo (cells adjacent to
-    the body) with flip -1, which inverts the row to ask for dead cells.
-    Shifting a row left by _REACH - dx puts the cell dx right of an
-    anchor at that anchor's bit plus _REACH."""
+    """Per glider phase, its cells and one (dy, shift, flip) term per
+    cell to test.
+
+    The four phases are GLIDER and its next three life_step states. Each
+    phase's cells are offsets from its anchor, its (y, x)-least cell, in
+    sorted order. The terms are the body cells with flip 0, then the
+    halo (cells adjacent to the body) with flip -1, which inverts the
+    row to ask for dead cells. Shifting a row left by _REACH - dx puts
+    the cell dx right of an anchor at that anchor's bit plus _REACH."""
     stencils = []
-    for phase in GLIDER_PHASES:
+    state = GLIDER
+    for _ in range(4):
+        ax, ay = min(state.live, key=lambda c: (c[1], c[0]))
+        phase = tuple(sorted((x - ax, y - ay) for x, y in state.live))
         halo = {(x + dx, y + dy) for x, y in phase for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
         terms = [(dy, _REACH - dx, 0) for dx, dy in phase]
         terms += [(dy, _REACH - dx, -1) for dx, dy in sorted(halo - set(phase))]
         stencils.append((phase, tuple(terms)))
+        state = life_step(state)
     return tuple(stencils)
 
 

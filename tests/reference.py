@@ -4,7 +4,8 @@ These are the straightforward versions the package started with, kept
 verbatim so the tests can show the faster paths return exactly the same
 results: the set-based Life step and glider detection, the render that
 looks up every viewport cell (the render oracle for the one built on
-`ca.pack_rows`), the episode generators built on `rng.choice` and
+`ca.pack_rows`), the glider phases the scan looks for, stepped and
+normalised here, the episode generators built on `rng.choice` and
 `rng.randint`, and the coop experiment that walks every meeting.
 Nothing in the package imports this module.
 """
@@ -15,7 +16,7 @@ import random
 from collections import Counter
 from typing import Sequence
 
-from lifelens.ca import CAState, Cell
+from lifelens.ca import GLIDER, CAState, Cell
 from lifelens.coop import (
     _BY_BOOL,
     CoopConfig,
@@ -26,7 +27,6 @@ from lifelens.coop import (
     _mean,
 )
 from lifelens.observe import (
-    GLIDER_PHASES,
     ZERO,
     Label,
     ObservedEpisode,
@@ -53,6 +53,21 @@ def life_step(s: CAState) -> CAState:
     return CAState(frozenset(
         cell for cell, n in counts.items() if n == 3 or (n == 2 and cell in live)
     ))
+
+
+def _glider_phases() -> tuple[tuple[Cell, ...], ...]:
+    """GLIDER and its next three states under the set-based step, each
+    as offsets from its (y, x)-least cell, in sorted order."""
+    phases = []
+    state = GLIDER
+    for _ in range(4):
+        ax, ay = min(state.live, key=lambda c: (c[1], c[0]))
+        phases.append(tuple(sorted((x - ax, y - ay) for x, y in state.live)))
+        state = life_step(state)
+    return tuple(phases)
+
+
+GLIDER_PHASES = _glider_phases()
 
 
 def find_glider(state: CAState) -> frozenset[Cell] | None:

@@ -11,8 +11,10 @@ import errno
 import functools
 import io
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +31,12 @@ def run_cli(capsys, *argv):
 
 
 class TestLife:
-    def test_block_is_still(self, capsys, tmp_path):
+    # Any line ending, and none at the end, reads as the same block.
+    @pytest.mark.parametrize("text", ["OO\nOO\n", "OO\r\nOO\r\n", "OO\rOO\r", "OO\r\nOO"],
+                             ids=["lf", "crlf", "cr", "crlf-unterminated"])
+    def test_block_is_still(self, capsys, tmp_path, text):
         pattern = tmp_path / "block.txt"
-        pattern.write_text("OO\nOO\n")
+        pattern.write_bytes(text.encode())
         code, out, _ = run_cli(capsys, "life", str(pattern), "--steps", "1")
         assert code == 0
         assert out == "t=0\nOO\nOO\n\nt=1\nOO\nOO\n"
@@ -94,13 +99,12 @@ class TestObserve:
         assert "  deterministic environment: yes" in lines
 
     def test_default_scene_csv(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^\$ lifelens observe --format csv\n(.*?)^```$", readme, re.M | re.S)
+        assert block, "README lacks its `lifelens observe --format csv` example"
         code, out, _ = run_cli(capsys, "observe", "--format", "csv")
         assert code == 0
-        assert out.splitlines() == [
-            "start,end,intelligence,terminated,contradictory,witness_a,witness_b,"
-            "env_deterministic,env_witness_a,env_witness_b",
-            "0,14,14,True,False,,,True,,",
-        ]
+        assert out == block.group(1)
 
     def test_block_only_has_no_episodes(self, capsys):
         code, out, _ = run_cli(capsys, "observe", "--scene", "block-only",

@@ -6,7 +6,9 @@ and `find_glider`, both on the rows `ca.pack_rows` packs, must give the
 same next state and the same detected glider (or None) on arbitrary
 states, on crowds of gliders where the least-body tie-break and the halo
 test decide, and on every state of a random soup; a table of lone
-glider phases pins each halo cell and the tie rule. `render_pattern`,
+glider phases pins each halo cell and the tie rule. The detector's four
+phases must be the ones reference.py steps from GLIDER itself, in the
+same order. `render_pattern`,
 also on packed rows, must write the same text as the render oracle that
 looks up every viewport cell, for any viewport, and a window 10**8
 columns from the state must cost under 1 MiB. `pack_rows` must put its
@@ -42,6 +44,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
+from reference import GLIDER_PHASES
 from lifelens import observe
 from lifelens.ca import (
     GLIDER,
@@ -54,7 +57,6 @@ from lifelens.ca import (
 )
 from lifelens.coop import CoopConfig, PayoffMatrix, run_coop_experiment
 from lifelens.observe import (
-    GLIDER_PHASES,
     ZERO,
     PerceptionSpace,
     check_proposition,
@@ -226,6 +228,9 @@ class TestRenderPattern:
 
 
 class TestFindGlider:
+    def test_stencil_phases_are_the_oracles(self):
+        assert tuple(phase for phase, _ in observe._GLIDER_STENCILS) == GLIDER_PHASES
+
     @given(states)
     @example(EMPTY)
     def test_matches_the_set_scan(self, state):
