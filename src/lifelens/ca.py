@@ -7,8 +7,9 @@ for dead cells and 'O' for live ones, one row per line, top row first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
 """Lattice position as (x, y): x grows rightward, y downward (text rows)."""
@@ -171,16 +172,108 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
     return text.replace("0", ".").replace("1", "O")
 
 
+class _Band(NamedTuple):
+    """One band of a state's cells, laid out as _bands describes."""
+
+    y0: int
+    x0: int
+    stride: int
+    plane: int
+
+    def cell(self, bit: int) -> Cell:
+        """The cell that bit `bit` of the plane stands for."""
+        y, x = divmod(bit, self.stride)
+        return self.x0 + x, self.y0 + y
+
+
+def _bands(state: CAState) -> list[_Band]:
+    """Lay a state's packed rows out as one int per band, in (y0, x0)
+    order.
+
+    A band is a rectangle of rows and columns. The rows are cut wherever
+    two or more dead rows separate occupied ones, and each part's
+    columns wherever a run of dead columns spans at least
+    max(8, 2048 // height) whole bytes of the part's rows, height being
+    the rows it spans, again and again until no part has such a gap. So in one step no cell of a
+    band neighbours, or is born next to, a cell of another, and a
+    glider's halo never reaches another band. A band costs its own
+    height times its own width, and a column cut lays each piece out
+    as a band of its own, which costs about as much as 2**14 cells of
+    plane: so a cut is made only where it takes at least that many
+    dead cells, and 8 bytes of every row, out of the plane, and a tall
+    cluster does not pay for the many columns between it and a far
+    pattern in the same rows. Each band is a _Band, whose `cell` maps a bit
+    back to its cell:
+
+    - cell (x, y) sits at bit (y - y0) * stride + (x - x0) of plane.
+      y0 is one above the band's first row, so a dead row sits below
+      that row's bits, and x0 is one left of the band's leftmost live
+      cell, so bit 0 of every row stays dead;
+    - stride is a whole number of bytes, with at least 8 dead bits
+      above the band's widest row.
+
+    The plane is built with `to_bytes` into a bytearray and read by
+    `int.from_bytes`, and life_step cuts rows back out by `to_bytes`
+    slices of one stride each. So a shift of the plane by whole strides
+    and at most 1 bit right or 8 bits left carries across a row
+    boundary only bit 0 or the dead margin: the dead cells a row-by-row
+    step sees there.
+    """
+    bands = []
+    todo = [pack_rows(state)]
+    while todo:
+        x0, rows = todo.pop()
+        get = rows.get
+        ys = sorted(rows)
+        starts = [i for i, y in enumerate(ys) if i == 0 or y - ys[i - 1] > 2]
+        for lo, hi in zip(starts, [*starts[1:], len(ys)]):
+            band = ys[lo:hi]
+            seen = 0
+            for y in band:
+                seen |= rows[y]
+            lift = (seen & -seen).bit_length() - 2
+            seen >>= lift
+            dead = max(8, 2048 // (band[-1] - band[0] + 1))
+            if seen.bit_length() > 8 * dead:
+                data = seen.to_bytes((seen.bit_length() + 7) >> 3, "little")
+                gaps = [i for m in re.finditer(rb"\0{%d,}" % dead, data) for i in m.span()]
+                if gaps:
+                    # Each piece, from byte p to byte q of data, goes back
+                    # on the list as rows of its own, with a dead bit 0,
+                    # to be cut again.
+                    for p, q in zip([0, *gaps[1::2]], [*gaps[::2], len(data)]):
+                        a = lift + max(8 * p - 1, 0)
+                        mask = (1 << lift + 8 * q - a) - 1
+                        part = {y: row for y in band if (row := rows[y] >> a & mask)}
+                        todo.append((x0 + a, part))
+                    continue
+            size = (seen.bit_length() + 15) >> 3
+            buf = bytearray(size)
+            for y in range(band[0], band[-1] + 1):
+                buf += (get(y, 0) >> lift).to_bytes(size, "little")
+            bands.append(_Band(band[0] - 1, x0 + lift, size << 3, int.from_bytes(buf, "little")))
+    bands.sort()
+    return bands
+
+
 def life_step(s: CAState) -> CAState:
     """One synchronous update of the whole plane.
 
     A cell with exactly 3 live neighbors is live next step; with exactly
     2 it keeps its current value; any other count leaves it dead.
 
-    The rows come from pack_rows, whose bit 0 is dead in every row, so
-    no birth falls below bit 0. The eight shifted neighbour rows
-    go through a bitwise counter: `ones` and `twos` hold the count's low
-    bits, and `many` flags a count of four or more.
+    The rows come from pack_rows, laid out one int per band as _bands
+    describes. A bitwise adder counts each cell's neighbours as three
+    2-bit sums: `side`, the cells left and right (the band's int shifted
+    by 1 each way), and `above` and `below`, the three cells of the row
+    above and of the row below (`trio`, the side sum plus the cell
+    itself, shifted by the stride each way). Bit 0 of the count is
+    `ones`, and `carry` is its carry. The count is 2 or 3 exactly where
+    one of the four weight-2 bits `above1`, `below1`, `side1` and
+    `carry` is set: an odd number of them, but not both of a pair, since
+    three set always hold a whole pair. The result is cut back into
+    rows, one stride of its bytes each, and each row is shifted back to
+    the state's base; bands that share a row add their parts of it.
 
     The next rows are all the returned state holds, as its `_packed`
     (see CAState), so a caller that only packs, such as a render, never
@@ -189,22 +282,28 @@ def life_step(s: CAState) -> CAState:
     moves them one bit left, a dead left edge moves them right, so the
     ints never grow by a bit per step.
     """
-    base, rows = pack_rows(s)
-    get = rows.get
+    base = pack_rows(s)[0]
     nxt = {}
+    get = nxt.get
     seen = 0
-    for y in {r + dy for r in rows for dy in (-1, 0, 1)}:
-        a, b, c = get(y - 1, 0), get(y, 0), get(y + 1, 0)
-        ones = twos = many = 0
-        for n in (a << 1, a, a >> 1, b << 1, b >> 1, c << 1, c, c >> 1):
-            carry = ones & n
-            ones ^= n
-            many |= twos & carry
-            twos ^= carry
-        row = twos & ~many & (ones | b)
-        if row:
-            nxt[y] = row
-            seen |= row
+    for y0, x0, stride, plane in _bands(s):
+        left, right = plane << 1, plane >> 1
+        side0, side1 = left ^ right, left & right
+        trio0, trio1 = side0 ^ plane, side1 | side0 & plane
+        above0, above1 = trio0 << stride, trio1 << stride
+        below0, below1 = trio0 >> stride, trio1 >> stride
+        ab = above0 ^ below0
+        ones = ab ^ side0
+        carry = above0 & below0 | side0 & ab
+        odd = above1 ^ below1 ^ side1 ^ carry
+        out = odd & ~(above1 & below1 | side1 & carry) & (ones | plane)
+        size, lift = stride >> 3, x0 - base
+        buf = out.to_bytes((out.bit_length() + 7) >> 3, "little")
+        for y, at in enumerate(range(0, len(buf), size), y0):
+            row = int.from_bytes(buf[at:at + size], "little") << lift
+            if row:
+                nxt[y] = get(y, 0) | row
+                seen |= row
     low = (seen & -seen).bit_length() - 1  # -1 when every cell died
     if low == -1:
         base = 0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .ca import Cell, CAState, Trace, life_step, pack_rows, GLIDER
+from .ca import Cell, CAState, Trace, _bands, life_step, GLIDER
 from .seeds import choices, substream
 
 Label = Hashable
@@ -310,8 +310,9 @@ def _glider_stencils() -> tuple[tuple[tuple[Cell, ...], tuple[tuple[int, int, in
     phase's cells are offsets from its anchor, its (y, x)-least cell, in
     sorted order. The terms are the body cells with flip 0, then the
     halo (cells adjacent to the body) with flip -1, which inverts the
-    row to ask for dead cells. Shifting a row left by _REACH - dx puts
-    the cell dx right of an anchor at that anchor's bit plus _REACH."""
+    band to ask for dead cells. The shift is _REACH - dx: find_glider
+    shifts a band's int left by it, less dy strides, which puts the cell
+    (dx, dy) from an anchor at that anchor's bit plus _REACH."""
     stencils = []
     state = GLIDER
     for _ in range(4):
@@ -337,32 +338,38 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
     (y, x) cell list is lexicographically least wins, so detection is a
     function of the state alone.
 
-    Rows come from pack_rows, so a state that holds them (see CAState)
-    is not packed again. The stencils only shift rows left, so any base
-    at or left of the leftmost live cell would do; an empty state has no
-    rows and no detection. For each row, top down, and each phase,
-    `hits` ANDs the phase's shifted body rows and inverted halo rows, so
-    one bit marks each anchor, the phase's (y, x)-least cell, in that
-    row. An isolated detection is a whole 8-connected component, so
-    detections are disjoint, an anchor has one phase at most, and the
-    least low bit of the first row with a hit is the least cell list.
+    The state's rows are laid out one int per band as ca._bands
+    describes; an empty state has no bands and no detection. For each
+    band and each phase, `hits` ANDs the phase's terms: the band's int
+    shifted left by `shift - dy * stride`, inverted for a halo cell. So
+    one bit marks each anchor, the phase's (y, x)-least cell, _REACH
+    bits above the anchor's own bit, and the band's `cell` gives the
+    anchor. An isolated detection is a whole 8-connected component, so
+    detections are disjoint and an anchor has one phase at most: the
+    (y, x)-least anchor is the least cell list. Bands come in order of
+    their top row, so once one starts below the best anchor so far, no
+    later band holds a better one.
     """
-    base, rows = pack_rows(state)
-    for y in sorted(rows):
-        found = []
+    best = None
+    for band in _bands(state):
+        if best is not None and band.y0 >= best[0]:
+            break
+        stride, plane = band.stride, band.plane
         for phase, terms in _GLIDER_STENCILS:
             hits = -1
             for dy, shift, flip in terms:
-                hits &= (rows.get(y + dy, 0) << shift) ^ flip
+                shift -= dy * stride
+                hits &= (plane << shift if shift >= 0 else plane >> -shift) ^ flip
                 if not hits:
                     break
             else:
-                found.append(((hits & -hits).bit_length(), phase))
-        if found:
-            bit, phase = min(found)
-            x = base + bit - 1 - _REACH
-            return frozenset((x + dx, y + dy) for dx, dy in phase)
-    return None
+                x, y = band.cell((hits & -hits).bit_length() - 1 - _REACH)
+                if best is None or (y, x) < best[:2]:
+                    best = y, x, phase
+    if best is None:
+        return None
+    y, x, phase = best
+    return frozenset((x + dx, y + dy) for dx, dy in phase)
 
 
 def glider_observer() -> Observer:

@@ -2,11 +2,19 @@
 reference.py.
 
 Each fast path must return exactly what its oracle returns. `life_step`
-and `find_glider`, both on the rows `ca.pack_rows` packs, must give the
-same next state and the same detected glider (or None) on arbitrary
-states, on crowds of gliders where the least-body tie-break and the halo
-test decide, and on every state of a random soup; a table of lone
-glider phases pins each halo cell and the tie rule. The detector's four
+and `find_glider`, both on the rows `ca.pack_rows` packs, laid out one
+int per band by `ca._bands`, must give the same next state and the same
+detected glider (or None) on arbitrary states, on crowds of gliders
+where the least-body tie-break and the halo test decide, on two
+clusters 0-5 empty rows apart one above the other or 0-5 or about
+16,390 empty columns apart side by side, and on every state of a random soup;
+two blocks 0-3 empty rows apart and a glider with a lone cell 2 or 3
+rows below it are explicit examples at the band edges. A table of lone
+glider phases pins each halo cell and the tie rule, and two isolated
+gliders pin it across bands: the higher one wins though the lower lies
+further left, in one band, in two cut apart by rows, and in two cut
+apart by columns, also when the lower glider's band starts higher. The
+detector's four
 phases must be the ones reference.py steps from GLIDER itself, in the
 same order. `render_pattern`,
 also on packed rows, must write the same text as the render oracle that
@@ -22,7 +30,11 @@ state and an equal one built from its cells must give the same
 `pack_rows`, so the stored rows are the canonical packing, and the same
 `life_step`, `find_glider`, render and bounding box. The cells such a
 state unpacks on the first read of `live` must be the counter step's. A glider flying
-1,000 steps either way keeps every row int under 2**8. The episode
+1,000 steps either way keeps every row int under 2**8, two gliders
+flying apart diagonally for 1,000 steps keep two bands of at most 16
+bits a row and 8 rows each, and a 41-row ladder of blocks with a block
+4,000 columns to its right keeps every band at most 16 bits a row. The
+episode
 generators, which draw label runs through `seeds.choices` and single
 values through `rng.randint` and `rng.choice`, must give the same
 episode and leave the stream in the same state as their `rng.choice`
@@ -45,8 +57,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 from reference import GLIDER_PHASES
-from lifelens import observe
+from lifelens import ca, observe
 from lifelens.ca import (
+    BLOCK,
     GLIDER,
     CAState,
     life_step,
@@ -113,6 +126,39 @@ EMPTY = CAState()
 NEGATIVE = CAState(frozenset({(-5, -3)}))
 
 
+def apart(top: CAState, bottom: CAState, gap: int, dx: int = 0) -> CAState:
+    """`top` with `bottom` moved `dx` columns right and below it, so that
+    `gap` empty rows separate them; _bands splits them once gap >= 2."""
+    lowest = max(y for _, y in top.live)
+    highest = min(y for _, y in bottom.live)
+    dy = lowest + 1 + gap - highest
+    return CAState(top.live | {(x + dx, y + dy) for x, y in bottom.live})
+
+
+def beside(left: CAState, right: CAState, gap: int, dy: int = 0) -> CAState:
+    """`left` with `right` moved `dy` rows down and to its right, so that
+    `gap` empty columns separate them; _bands cuts them apart once the gap
+    spans max(8, 2048 // height) whole bytes of their rows."""
+    rightmost = max(x for x, _ in left.live)
+    leftmost = min(x for x, _ in right.live)
+    dx = rightmost + 1 + gap - leftmost
+    return CAState(left.live | {(x + dx, y + dy) for x, y in right.live})
+
+
+# A cluster is a few cells in a 6x4 box or a glider phase, so the halo
+# test meets a band edge; two of them are 0-5 empty rows apart, one above
+# the other, or 0-5 or about 16,390 empty columns apart, side by side,
+# where a band of any height is cut apart.
+clusters = (st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=12)
+            | st.sampled_from(GLIDER_PHASES).map(frozenset)).map(CAState)
+two_clusters = (st.builds(apart, clusters, clusters, st.integers(0, 5), st.integers(-8, 8))
+                | st.builds(beside, clusters, clusters, st.integers(0, 5) | st.integers(16_380, 16_400),
+                            st.integers(-5, 5)))
+LONE = CAState(frozenset({(0, 0)}))
+BANDS = [apart(BLOCK, BLOCK, gap) for gap in range(4)]
+HALO_ON_A_DEAD_ROW = [apart(GLIDER, LONE, gap, 1) for gap in (1, 2)]
+
+
 def blocks(width: int) -> CAState:
     """Two still blocks whose packed rows, and their successor's, are
     exactly `width` bits wide (width >= 7 keeps them apart)."""
@@ -122,7 +168,17 @@ def blocks(width: int) -> CAState:
 class TestLifeStep:
     @given(states)
     @example(EMPTY)
+    @example(BANDS[0])  # two still blocks 0, 1, 2 and 3 empty rows apart
+    @example(BANDS[1])
+    @example(BANDS[2])
+    @example(BANDS[3])
+    @example(HALO_ON_A_DEAD_ROW[0])  # a lone cell 2, then 3 rows below a glider
+    @example(HALO_ON_A_DEAD_ROW[1])
     def test_matches_the_counter_step(self, state):
+        assert life_step(state) == reference.life_step(state)
+
+    @given(two_clusters)
+    def test_matches_across_a_gap(self, state):
         assert life_step(state) == reference.life_step(state)
 
     @given(glider_crowds)
@@ -193,6 +249,33 @@ class TestPackedMemo:
             assert base == min(x for x, _ in state.live) - 1
             assert all(0 < row < 2**8 for row in rows.values())
 
+    # One glider flies down-right, the other, turned half round, up-left:
+    # the bands split them, and each keeps a glider's width and height
+    # rather than the growing area between the two.
+    def test_bands_stay_small_as_gliders_fly_apart(self):
+        away = parse_pattern("OOO\nO..\n.O.")
+        trace = run(apart(away, GLIDER, 2, 5), 1000)
+        assert trace[1000].live == ({(x - 250, y - 250) for x, y in away.live}
+                                    | {(x + 255, y + 255) for x, y in GLIDER.live})
+        for state in trace:
+            bands = ca._bands(state)
+            assert len(bands) == 2
+            for band in bands:
+                assert band.stride <= 16
+                assert band.plane.bit_length() <= 8 * band.stride
+
+
+    # A ladder of still blocks, rows 0-40, and a block 4,000 columns to its
+    # right in rows 0-1: the columns between them are cut out, so no band
+    # is 41 rows of 4,000 bits.
+    def test_bands_cut_a_far_block_off_a_tall_cluster(self):
+        ladder = {(x, 3 * k + dy) for k in range(14) for x in (0, 1) for dy in (0, 1)}
+        far = {(x, y) for x in (4000, 4001) for y in (0, 1)}
+        for state in run(CAState(frozenset(ladder | far)), 2):
+            assert state.live == ladder | far
+            bands = ca._bands(state)
+            assert [(band.y0, band.x0) for band in bands] == [(-1, -1), (-1, 3999)]
+            assert all(band.stride <= 16 for band in bands)
 
 class TestRenderPattern:
     @given(states, viewports)
@@ -233,8 +316,37 @@ class TestFindGlider:
 
     @given(states)
     @example(EMPTY)
+    @example(BANDS[0])  # two still blocks 0, 1, 2 and 3 empty rows apart
+    @example(BANDS[1])
+    @example(BANDS[2])
+    @example(BANDS[3])
+    @example(HALO_ON_A_DEAD_ROW[0])  # a lone cell 2, then 3 rows below a glider
+    @example(HALO_ON_A_DEAD_ROW[1])
     def test_matches_the_set_scan(self, state):
         assert find_glider(state) == reference.find_glider(state)
+
+    @given(two_clusters)
+    def test_matches_across_a_gap(self, state):
+        assert find_glider(state) == reference.find_glider(state)
+
+    # Two isolated gliders, the lower one further left: the higher anchor
+    # row wins whether they share a band, are cut apart by rows, or by
+    # columns while sharing rows; in the last case a line beside the lower
+    # glider makes its band start higher, so that band comes first.
+    @pytest.mark.parametrize("anchor, extra, bands", [
+        ((7, 4), (), 1),
+        ((7, 5), (), 2),
+        ((-5000, 1), (), 2),
+        ((-5000, 5), tuple((-5004, y) for y in range(-2, 9)), 2),
+    ], ids=["one-band", "row-cut", "column-cut", "column-cut-taller-first"])
+    def test_tie_rule_across_bands(self, anchor, extra, bands):
+        upper = placed(GLIDER_PHASES[0], 10, 0)
+        lower = placed(GLIDER_PHASES[2], *anchor)
+        state = CAState(upper | lower | frozenset(extra))
+        assert len(ca._bands(state)) == bands
+        assert min(lower)[0] < min(upper)[0]
+        assert min(y for _, y in lower) > min(y for _, y in upper)
+        assert find_glider(state) == reference.find_glider(state) == upper
 
     @pytest.mark.parametrize("offset", [(-7, -5), (3, 4)], ids=lambda o: "at(%d,%d)" % o)
     @pytest.mark.parametrize("phase", range(4), ids=lambda p: f"phase{p}")
