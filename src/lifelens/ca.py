@@ -30,12 +30,16 @@ class PatternError(ValueError):
 class CAState:
     """One automaton state: the finite set of cells holding value 1.
 
-    A state holds its cells in one or both of two forms: `live`, the
-    cell set, and `_packed`, the `(base, rows)` that pack_rows hands
-    out. A constructor gives a state `live`, and life_step gives it
-    `_packed`; the other form is derived on first read and stored on the
-    state, so later reads are plain attribute hits. `_packed` is not a
-    field, so eq, hash, repr and `dataclasses.asdict` see only `live`.
+    A state holds its cells in up to three forms: `live`, the cell set;
+    `_packed`, the `(base, rows)` that pack_rows hands out; and
+    `_bands`, those rows laid out one int per band by _layout. A
+    constructor gives a state `live`, and life_step gives it `_packed`;
+    every state holds at least one of these two. Any other form is
+    derived on first read and stored on the state, so later reads are
+    plain attribute hits: `_packed` when the state is packed, `_bands`
+    when it is stepped or searched for a glider, `live` when its cells
+    are read. Only `live` is a field, so eq, hash, repr and
+    `dataclasses.asdict` see only it.
     `vars(state)` shows only the forms the state holds, and a pickle or
     copy of the state carries what it holds.
     """
@@ -45,12 +49,14 @@ class CAState:
     live: frozenset[Cell] = field(default_factory=frozenset)
 
     def __getattr__(self, name: str):
-        # Reached only when `name` is missing from the state: the form of
+        # Reached only when `name` is missing from the state: a form of
         # its cells that it does not hold yet, or a name it never has. A
-        # state that holds neither form, such as one a copy has not filled
-        # in yet, derives nothing.
+        # state that holds neither `live` nor `_packed`, such as one a copy
+        # has not filled in yet, derives nothing.
         held = vars(self)
-        if name == "_packed" and "live" in held:
+        if name == "_bands" and ("live" in held or "_packed" in held):
+            value = _layout(*self._packed)
+        elif name == "_packed" and "live" in held:
             live = held["live"]
             base = min(live)[0] - 1 if live else 0
             rows: dict[int, int] = {}
@@ -75,14 +81,16 @@ class CAState:
     def bounding_box(self) -> tuple[int, int, int, int] | None:
         """(x0, y0, x1, y1) inclusive, or None for the empty state.
 
-        Read from pack_rows: bit 1 of some row holds the leftmost cell,
-        the widest row's top bit the rightmost, and the row keys give y.
+        Read from pack_rows: the lowest set bit of any row is the
+        leftmost cell, the widest row's top bit the rightmost, and the
+        row keys give y.
         """
         base, rows = pack_rows(self)
         if not rows:
             return None
+        low = min((row & -row).bit_length() for row in rows.values())
         width = max(map(int.bit_length, rows.values()))
-        return base + 1, min(rows), base + width - 1, max(rows)
+        return base + low - 1, min(rows), base + width - 1, max(rows)
 
 
 @dataclass(frozen=True)
@@ -125,9 +133,12 @@ def pack_rows(state: CAState) -> tuple[int, dict[int, int]]:
     """(base, rows): the live cells as one int per occupied row, where
     bit i of rows[y] is cell (base + i, y).
 
-    base is one left of the leftmost live cell, so bit 0 of every row is
-    dead and a neighbour one column left of any live cell still has a
-    bit. The empty state packs to no rows (its base is 0).
+    base lies left of every live cell, so bit 0 of every row is dead and
+    a neighbour one column left of any live cell still has a bit. For a
+    state built from cells it is one left of the leftmost live cell; a
+    state that life_step returned keeps the base it was written at,
+    which may lie a few columns further left. An empty state packs to
+    no rows.
 
     This is the state's `_packed` form, packed at most once and kept on
     the state as CAState describes. Every caller shares the one dict:
@@ -173,7 +184,7 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
 
 
 class _Band(NamedTuple):
-    """One band of a state's cells, laid out as _bands describes."""
+    """One band of a state's cells, laid out as _layout describes."""
 
     y0: int
     x0: int
@@ -186,9 +197,10 @@ class _Band(NamedTuple):
         return self.x0 + x, self.y0 + y
 
 
-def _bands(state: CAState) -> list[_Band]:
-    """Lay a state's packed rows out as one int per band, in (y0, x0)
-    order.
+def _layout(base: int, rows: dict[int, int]) -> list[_Band]:
+    """Lay packed rows, bit i of rows[y] being cell (base + i, y), out as
+    one int per band, in (y0, x0) order. A state keeps the result as its
+    `_bands` (see CAState).
 
     A band is a rectangle of rows and columns. The rows are cut wherever
     two or more dead rows separate occupied ones, and each part's
@@ -208,7 +220,9 @@ def _bands(state: CAState) -> list[_Band]:
     - cell (x, y) sits at bit (y - y0) * stride + (x - x0) of plane.
       y0 is one above the band's first row, so a dead row sits below
       that row's bits, and x0 is one left of the band's leftmost live
-      cell, so bit 0 of every row stays dead;
+      cell, so bit 0 of every row stays dead. This lift of each band to
+      its own leftmost cell is the one place where cells are re-based:
+      the rows may come at any base left of their cells;
     - stride is a whole number of bytes, with at least 8 dead bits
       above the band's widest row.
 
@@ -220,7 +234,7 @@ def _bands(state: CAState) -> list[_Band]:
     step sees there.
     """
     bands = []
-    todo = [pack_rows(state)]
+    todo = [(base, rows)]
     while todo:
         x0, rows = todo.pop()
         get = rows.get
@@ -262,7 +276,7 @@ def life_step(s: CAState) -> CAState:
     A cell with exactly 3 live neighbors is live next step; with exactly
     2 it keeps its current value; any other count leaves it dead.
 
-    The rows come from pack_rows, laid out one int per band as _bands
+    The state keeps its bands (see CAState), laid out as _layout
     describes. A bitwise adder counts each cell's neighbours as three
     2-bit sums: `side`, the cells left and right (the band's int shifted
     by 1 each way), and `above` and `below`, the three cells of the row
@@ -272,21 +286,20 @@ def life_step(s: CAState) -> CAState:
     one of the four weight-2 bits `above1`, `below1`, `side1` and
     `carry` is set: an odd number of them, but not both of a pair, since
     three set always hold a whole pair. The result is cut back into
-    rows, one stride of its bytes each, and each row is shifted back to
-    the state's base; bands that share a row add their parts of it.
+    rows, one stride of its bytes each, and each row is shifted to the
+    next state's base, one left of the leftmost band's x0, so a birth
+    on a band's bit 0 lands on bit 1; bands that share a row add their
+    parts of it.
 
     The next rows are all the returned state holds, as its `_packed`
     (see CAState), so a caller that only packs, such as a render, never
-    builds the cell set. They are first shifted so that bit 1 holds the
-    new leftmost cell, as pack_rows would place it: a birth on bit 0
-    moves them one bit left, a dead left edge moves them right, so the
-    ints never grow by a bit per step.
+    builds the cell set.
     """
-    base = pack_rows(s)[0]
+    bands = s._bands
+    base = min(band.x0 for band in bands) - 1 if bands else 0
     nxt = {}
     get = nxt.get
-    seen = 0
-    for y0, x0, stride, plane in _bands(s):
+    for y0, x0, stride, plane in bands:
         left, right = plane << 1, plane >> 1
         side0, side1 = left ^ right, left & right
         trio0, trio1 = side0 ^ plane, side1 | side0 & plane
@@ -303,13 +316,6 @@ def life_step(s: CAState) -> CAState:
             row = int.from_bytes(buf[at:at + size], "little") << lift
             if row:
                 nxt[y] = get(y, 0) | row
-                seen |= row
-    low = (seen & -seen).bit_length() - 1  # -1 when every cell died
-    if low == -1:
-        base = 0
-    elif low != 1:
-        nxt = {y: row << 1 >> low for y, row in nxt.items()}
-        base += low - 1
     state = object.__new__(CAState)
     object.__setattr__(state, "_packed", (base, nxt))
     return state

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .ca import Cell, CAState, Trace, _bands, life_step, GLIDER
+from .ca import Cell, CAState, Trace, life_step, GLIDER
 from .seeds import choices, substream
 
 Label = Hashable
@@ -338,7 +338,7 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
     (y, x) cell list is lexicographically least wins, so detection is a
     function of the state alone.
 
-    The state's rows are laid out one int per band as ca._bands
+    The state keeps its bands (see CAState), laid out as ca._layout
     describes; an empty state has no bands and no detection. For each
     band and each phase, `hits` ANDs the phase's terms: the band's int
     shifted left by `shift - dy * stride`, inverted for a halo cell. So
@@ -351,7 +351,7 @@ def find_glider(state: CAState) -> frozenset[Cell] | None:
     later band holds a better one.
     """
     best = None
-    for band in _bands(state):
+    for band in state._bands:
         if best is not None and band.y0 >= best[0]:
             break
         stride, plane = band.stride, band.plane

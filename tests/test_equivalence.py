@@ -3,11 +3,13 @@ reference.py.
 
 Each fast path must return exactly what its oracle returns. `life_step`
 and `find_glider`, both on the rows `ca.pack_rows` packs, laid out one
-int per band by `ca._bands`, must give the same next state and the same
-detected glider (or None) on arbitrary states, on crowds of gliders
-where the least-body tie-break and the halo test decide, on two
-clusters 0-5 empty rows apart one above the other or 0-5 or about
-16,390 empty columns apart side by side, and on every state of a random soup;
+int per band by `ca._layout` and kept on the state as its `_bands`,
+must give the same next state and the same detected glider (or None)
+on arbitrary states, on crowds of gliders where the least-body
+tie-break and the halo test decide, on two clusters 0-5 empty rows
+apart one above the other or 0-5 or about 16,390 empty columns apart
+side by side, and on every state of a random soup, whose steps and
+detections lay out each state once;
 two blocks 0-3 empty rows apart and a glider with a lone cell 2 or 3
 rows below it are explicit examples at the band edges. A table of lone
 glider phases pins each halo cell and the tie rule, and two isolated
@@ -26,13 +28,13 @@ for all four; a cell at negative x and y, and rows exactly 7, 8 and 9
 bits wide, are explicit examples for the packing and unpacking round
 trips. A state built from cells packs its rows on first read, and
 `life_step` stores the rows it computed on the state it returns: such a
-state and an equal one built from its cells must give the same
-`pack_rows`, so the stored rows are the canonical packing, and the same
-`life_step`, `find_glider`, render and bounding box. The cells such a
-state unpacks on the first read of `live` must be the counter step's. A glider flying
-1,000 steps either way keeps every row int under 2**8, two gliders
-flying apart diagonally for 1,000 steps keep two bands of at most 16
-bits a row and 8 rows each, and a 41-row ladder of blocks with a block
+state must keep bit 0 of its rows dead, and it and an equal one built
+from its cells must give the same `life_step`, `find_glider`, render
+and bounding box. The cells such a state unpacks on the first read of
+`live` must be the counter step's. A glider flying 1,000 steps either
+way keeps its base left of every cell, bit 0 dead and every row int
+under 2**8, two gliders flying apart diagonally for 1,000 steps keep
+two bands of at most 16 bits a row and 8 rows each, and a 41-row ladder of blocks with a block
 4,000 columns to its right keeps every band at most 16 bits a row. The
 episode
 generators, which draw label runs through `seeds.choices` and single
@@ -128,7 +130,7 @@ NEGATIVE = CAState(frozenset({(-5, -3)}))
 
 def apart(top: CAState, bottom: CAState, gap: int, dx: int = 0) -> CAState:
     """`top` with `bottom` moved `dx` columns right and below it, so that
-    `gap` empty rows separate them; _bands splits them once gap >= 2."""
+    `gap` empty rows separate them; _layout splits them once gap >= 2."""
     lowest = max(y for _, y in top.live)
     highest = min(y for _, y in bottom.live)
     dy = lowest + 1 + gap - highest
@@ -137,7 +139,7 @@ def apart(top: CAState, bottom: CAState, gap: int, dx: int = 0) -> CAState:
 
 def beside(left: CAState, right: CAState, gap: int, dy: int = 0) -> CAState:
     """`left` with `right` moved `dy` rows down and to its right, so that
-    `gap` empty columns separate them; _bands cuts them apart once the gap
+    `gap` empty columns separate them; _layout cuts them apart once the gap
     spans max(8, 2048 // height) whole bytes of their rows."""
     rightmost = max(x for x, _ in left.live)
     leftmost = min(x for x, _ in right.live)
@@ -230,7 +232,7 @@ class TestPackedMemo:
             fresh = CAState(frozenset(stepped.live))
             assert "_packed" in vars(stepped)
             assert "_packed" not in vars(fresh)
-            assert pack_rows(stepped) == pack_rows(fresh)
+            assert all(row & 1 == 0 for row in pack_rows(stepped)[1].values())
             assert life_step(stepped) == life_step(fresh)
             assert find_glider(stepped) == find_glider(fresh)
             assert render_pattern(stepped) == render_pattern(fresh)
@@ -246,8 +248,8 @@ class TestPackedMemo:
         assert trace[1000] == CAState(frozenset((x + dx, y + 250) for x, y in glider.live))
         for state in trace:
             base, rows = pack_rows(state)
-            assert base == min(x for x, _ in state.live) - 1
-            assert all(0 < row < 2**8 for row in rows.values())
+            assert base < min(x for x, _ in state.live)
+            assert all(0 < row < 2**8 and row & 1 == 0 for row in rows.values())
 
     # One glider flies down-right, the other, turned half round, up-left:
     # the bands split them, and each keeps a glider's width and height
@@ -258,7 +260,7 @@ class TestPackedMemo:
         assert trace[1000].live == ({(x - 250, y - 250) for x, y in away.live}
                                     | {(x + 255, y + 255) for x, y in GLIDER.live})
         for state in trace:
-            bands = ca._bands(state)
+            bands = state._bands
             assert len(bands) == 2
             for band in bands:
                 assert band.stride <= 16
@@ -273,7 +275,7 @@ class TestPackedMemo:
         far = {(x, y) for x in (4000, 4001) for y in (0, 1)}
         for state in run(CAState(frozenset(ladder | far)), 2):
             assert state.live == ladder | far
-            bands = ca._bands(state)
+            bands = state._bands
             assert [(band.y0, band.x0) for band in bands] == [(-1, -1), (-1, 3999)]
             assert all(band.stride <= 16 for band in bands)
 
@@ -343,7 +345,7 @@ class TestFindGlider:
         upper = placed(GLIDER_PHASES[0], 10, 0)
         lower = placed(GLIDER_PHASES[2], *anchor)
         state = CAState(upper | lower | frozenset(extra))
-        assert len(ca._bands(state)) == bands
+        assert len(state._bands) == bands
         assert min(lower)[0] < min(upper)[0]
         assert min(y for _, y in lower) > min(y for _, y in upper)
         assert find_glider(state) == reference.find_glider(state) == upper
@@ -411,6 +413,17 @@ class TestSoup:
             body = reference.find_glider(state)
             assert ent == (ZERO if body is None else body)
             assert env == state.live - (body or frozenset())
+
+    # Stepping a state lays out its bands, and the state keeps them, so
+    # perceiving the trace lays out only the last state, which was never
+    # stepped: one layout per state in all.
+    def test_each_state_is_laid_out_once(self, monkeypatch):
+        layouts = []
+        layout = ca._layout
+        monkeypatch.setattr(ca, "_layout", lambda *packed: layouts.append(packed) or layout(*packed))
+        trace = run(soup(7, 40), 30)
+        perceive_trace(glider_observer(), trace)
+        assert len(layouts) == len(trace)
 
 
 class TestEpisodeGenerators:
