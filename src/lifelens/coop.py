@@ -17,6 +17,8 @@ contradictory.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,12 +149,72 @@ def _mean(total: float, count: int) -> float:
     return total / count if count else float("nan")
 
 
+# Players per block of flip words: a block of 1000 x 20 meetings would
+# hold 160 KB of words at once, one of 256 players 40 KB.
+_BLOCK_PLAYERS = 256
+
+
+def _draw_repetition(rng: random.Random, m: int, n: int,
+                     p: float) -> tuple[tuple[bool, ...], tuple[bool, ...], list[list[int]]]:
+    """One repetition's draws: `env = tuple(rand() < 0.5 for _ in range(m))`,
+    `initial` likewise for n players, then
+    `flips = [[j for j in range(m) if rand() < p] for _ in range(n)]`,
+    with `rand = rng.random`. Values and stream state equal that loop's.
+
+    The word rule, which `random.Random` does not document but CPython
+    3.10-3.13 follow: `random()` reads two 32-bit words w1, w2 and
+    returns x / 2**53 with x = (w1 >> 5) * 2**26 + (w2 >> 6), and
+    `getrandbits(64 * k)` returns the next 2k words, lowest first. So
+    in the little-endian bytes of such a block, draw i's w1 is bytes
+    8i..8i+3 and its top byte, x >> 45, is byte 8i + 3. A draw is below
+    0.5 exactly when that byte is below 128, and below p exactly when
+    x < limit = ceil(p * 2**53). With c = (limit - 1) >> 45, a draw whose
+    top byte is below c flips, one above c does not, and only one equal
+    to c (about 1 in 256) needs the whole of x. The flips are drawn in
+    blocks of at most _BLOCK_PLAYERS players, each player's m draws in
+    turn, and `bytes.find` walks the bytes marked at most c.
+    tests/test_coop.py pins this function against the loop above.
+    """
+    getrandbits = rng.getrandbits
+    heads = getrandbits(64 * (m + n)).to_bytes(8 * (m + n), "little")[3::8]
+    coins = [top < 128 for top in heads]
+    limit = math.ceil(p * 2.0 ** 53)
+    c = (limit - 1) >> 45
+    marked = bytes(top <= c for top in range(256))
+    flips: list[list[int]] = []
+    for first in range(0, n, _BLOCK_PLAYERS):
+        players = min(_BLOCK_PLAYERS, n - first)
+        words = getrandbits(64 * m * players).to_bytes(8 * m * players, "little")
+        tops = words[3::8]
+        marks = tops.translate(marked)
+        block: list[list[int]] = [[] for _ in range(players)]
+        i = marks.find(1)
+        while i >= 0:
+            if tops[i] < c or _draw_bits(words, i) < limit:
+                player, meeting = divmod(i, m)
+                block[player].append(meeting)
+            i = marks.find(1, i + 1)
+        flips += block
+    return tuple(coins[:m]), tuple(coins[m:]), flips
+
+
+def _draw_bits(words: bytes, i: int) -> int:
+    """The 53 bits x of draw i in a little-endian block of words, as the
+    word rule in `_draw_repetition` states them."""
+    w1 = int.from_bytes(words[8 * i:8 * i + 4], "little")
+    w2 = int.from_bytes(words[8 * i + 4:8 * i + 8], "little")
+    return (w1 >> 5) << 26 | w2 >> 6
+
+
 def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix()) -> CoopReport:
     """Run all repetitions; repetition r draws from substream(seed, r).
 
     Draw order within a repetition: the m environment stances, then the n
     initial player stances, then per player (in index order) one flip
     decision before each meeting. True encodes COOP in the inner loop.
+    Each stance is `rng.random() < 0.5` and each flip `rng.random() < p`,
+    read by `_draw_repetition` from blocks of the generator's raw words
+    under the word rule its docstring states.
 
     A player's flips are drawn as the list of meetings before which one
     fired. Its stance is constant between flips, so its takes come from
@@ -174,11 +236,7 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     # Per repetition: (non-contradictory players, coop takes, coop meetings, all takes).
     tallies = []
     for r in range(config.repetitions):
-        rng = substream(config.seed, r)
-        rand = rng.random
-        env = tuple(rand() < 0.5 for _ in range(m))
-        initial = tuple(rand() < 0.5 for _ in range(n))
-        flips = [[j for j in meetings if rand() < p] for _ in range(n)]
+        env, initial, flips = _draw_repetition(substream(config.seed, r), m, n, p)
         # banked[stance][j]: the takes of the first j meetings played in stance.
         banked = tuple(tuple(itertools.accumulate((row[o] for o in env), initial=0))
                        for row in gain)

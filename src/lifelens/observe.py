@@ -250,15 +250,33 @@ class PropositionCheck:
         return self.premises_hold and not self.contradictory
 
 
+def _premises(ep: ObservedEpisode, k: int,
+              scan_env: bool) -> tuple[bool, bool, Witness | None]:
+    """(terminated, exceeds_threshold, env_witness): the proposition's
+    premises on `ep` at threshold k, tested in that order. The
+    environment premise holds when env_witness is None.
+
+    The environment scan is the one premise that is not O(1). With
+    scan_env False it runs only when the first two premises hold, and
+    env_witness is None when it did not run; a premise-first tally needs
+    no more. `check_proposition` passes True, so its record always
+    carries the scan's witness.
+    """
+    terminated = ep.terminated
+    exceeds_threshold = intelligence(ep) > k
+    scan = scan_env or (terminated and exceeds_threshold)
+    return terminated, exceeds_threshold, _first_divergence(ep, 1) if scan else None
+
+
 def check_proposition(ep: ObservedEpisode, space: PerceptionSpace) -> PropositionCheck:
     """Evaluate premises and conclusion of the pigeonhole implication."""
-    env_witness = is_deterministic_env(ep)
-    contradiction_witness = is_contradictory(ep)
     k = contradiction_threshold(space)
+    terminated, exceeds_threshold, env_witness = _premises(ep, k, scan_env=True)
+    contradiction_witness = _first_divergence(ep, 0)
     return PropositionCheck(
-        terminated=ep.terminated,
+        terminated=terminated,
         env_deterministic=env_witness is None,
-        exceeds_threshold=intelligence(ep) > k,
+        exceeds_threshold=exceeds_threshold,
         contradictory=contradiction_witness is not None,
         intelligence=intelligence(ep),
         threshold=k,
@@ -531,8 +549,10 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     _check_episode_args(_ENT_ALPHABET, _ENV_ALPHABET, max_len)
     ents, envs = ("A",), ("X", "Y")
     space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
+    checks = map(check_proposition, iter_terminated_episodes(ents, envs, max_len=10),
+                 itertools.repeat(space))
     exhaustive, exhaustive_premises, exhaustive_violations = _tally(
-        check_proposition(ep, space) for ep in iter_terminated_episodes(ents, envs, max_len=10))
+        (check.premises_hold, check.violation) for check in checks)
     _, randomized_premises, randomized_violations = _tally(
         _random_trial(seed, trial, max_len) for trial in range(trials))
     return TheoremCheckReport(
@@ -544,9 +564,11 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     )
 
 
-def _random_trial(seed: int, trial: int, max_len: int) -> PropositionCheck:
-    """Verdict on one randomized episode. Even trials get a deterministic
-    environment by construction, odd trials an arbitrary one.
+def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
+    """(premises_hold, violation) of `check_proposition` on one randomized
+    episode. Even trials get a deterministic environment by construction,
+    odd trials an arbitrary one. The premises are tested first, so the
+    contradiction scan runs only when they hold.
 
     Draw order: `randint(1, 5)` entity labels, `randint(1, 5)` environment
     labels, then the episode.
@@ -556,14 +578,19 @@ def _random_trial(seed: int, trial: int, max_len: int) -> PropositionCheck:
     envs = _ENV_ALPHABET[:rng.randint(1, len(_ENV_ALPHABET))]
     generate = random_deterministic_episode if trial % 2 == 0 else random_episode
     ep = generate(rng, ents, envs, max_len)
-    return check_proposition(ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs)))
+    space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
+    terminated, exceeds_threshold, env_witness = _premises(
+        ep, contradiction_threshold(space), scan_env=False)
+    premises_hold = terminated and exceeds_threshold and env_witness is None
+    return premises_hold, premises_hold and _first_divergence(ep, 0) is None
 
 
-def _tally(verdicts: Iterable[PropositionCheck]) -> tuple[int, int, int]:
-    """(checks, premise cases, violations) over a stream of verdicts."""
+def _tally(verdicts: Iterable[tuple[bool, bool]]) -> tuple[int, int, int]:
+    """(checks, premise cases, violations) over a stream of
+    (premises_hold, violation) verdicts."""
     checks = premises = violations = 0
-    for verdict in verdicts:
+    for premises_hold, violation in verdicts:
         checks += 1
-        premises += verdict.premises_hold
-        violations += verdict.violation
+        premises += premises_hold
+        violations += violation
     return checks, premises, violations

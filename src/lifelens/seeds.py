@@ -31,8 +31,12 @@ def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
     which `random.Random` does not document: with n = len(seq), take
     k = n.bit_length() bits and retry while they reach n, so the values
     and the stream state equal those of `rng.choice` while the loop calls
-    only `getrandbits`. Single draws elsewhere in the package call
-    `rng.randint` and `rng.choice` themselves.
+    only `getrandbits`. An empty seq with count > 0 raises IndexError
+    before any draw, as `rng.choice(())` does. Single draws elsewhere in
+    the package call `rng.randint` and `rng.choice` themselves, except
+    coop's stances and flips: `coop._draw_repetition` reads those
+    `rng.random()` draws from blocks of raw generator words, under the
+    word rule its docstring states, and tests/test_coop.py pins it.
 
     `market.run_market_experiment` restates the rule twice, for group
     A's committed trades and for group B's daily trade.
@@ -41,6 +45,8 @@ def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
     `sample_consistent_policy` and `FreePolicy`, pins both market copies.
     """
     n = len(seq)
+    if not n and count > 0:
+        raise IndexError("Cannot choose from an empty sequence")
     k = n.bit_length()
     getrandbits = rng.getrandbits
     drawn = []

@@ -2,11 +2,15 @@
 
 The replay test below re-executes the documented draw order with its own
 code to predict a full repetition, which pins both the stream layout and
-the payoff bookkeeping. Statistical checks at publication scale live in
-test_acceptance.py.
+the payoff bookkeeping. `TestDrawRepetition` pins coop's word reader,
+which reads the stances and flips from blocks of raw generator words,
+against the `rng.random()` loop it replaces, values and stream state
+alike, so a CPython that changes the word rule fails here by name.
+Statistical checks at publication scale live in test_acceptance.py.
 """
 
 import math
+import random
 
 import pytest
 
@@ -15,6 +19,7 @@ from lifelens.coop import (
     IndividualRecord,
     PayoffMatrix,
     Stance,
+    _draw_repetition,
     flip_probability_for_even_odds,
     meeting_payoff,
     run_coop_experiment,
@@ -233,6 +238,60 @@ class TestReplay:
                     non_n += 1
         assert rep.mean_payoff_coop == coop_sum / coop_n
         assert rep.mean_payoff_noncoop == non_sum / non_n
+
+
+def stdlib_draws(rng, m, n, p):
+    """The documented draws of one repetition, one `rng.random()` each."""
+    rand = rng.random
+    env = tuple(rand() < 0.5 for _ in range(m))
+    initial = tuple(rand() < 0.5 for _ in range(n))
+    flips = [[j for j in range(m) if rand() < p] for _ in range(n)]
+    return env, initial, flips
+
+
+# p = c/256 puts ceil(p * 2**53) - 1 just below a multiple of 2**45, so
+# the flip test's top-byte cut falls on c - 1 or c; each float neighbour
+# moves it to one side.
+BYTE_EDGES = sorted({q for c in range(257) for q in (
+    math.nextafter(c / 256, 0.0), c / 256, math.nextafter(c / 256, 1.0)) if 0.0 <= q <= 1.0})
+EXTREMES = [0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324]
+
+
+class TestDrawRepetition:
+    """`_draw_repetition` against `stdlib_draws`: the same values, and the
+    same next `random()` after them."""
+
+    def check(self, m, n, p, key=None):
+        key = key or f"{m}:{n}:{p!r}"
+        ours, theirs = random.Random(key), random.Random(key)
+        assert _draw_repetition(ours, m, n, p) == stdlib_draws(theirs, m, n, p), key
+        assert ours.random() == theirs.random(), key
+
+    @pytest.mark.parametrize("m", [1, 20])
+    def test_top_byte_edges_and_extremes(self, m):
+        # 257 players cross a block edge, and at m = 20 each p sees
+        # about 20 draws whose top byte is the cut itself.
+        for p in EXTREMES + BYTE_EDGES:
+            self.check(m, 257, p)
+
+    @pytest.mark.parametrize("m", [1, 20])
+    def test_p_at_a_drawn_value(self, m):
+        # With p at a flip draw's own value, or a float next to it, that
+        # draw's verdict rests on all 53 bits of the value, the low ones
+        # from the draw's second word included.
+        n = 257
+        key = f"{m}:{n}:drawn"
+        rng = random.Random(key)
+        values = [rng.random() for _ in range(m + n + m * n)]
+        for u in values[m + n::97]:
+            for p in (math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)):
+                self.check(m, n, p, key)
+
+    @pytest.mark.parametrize("m", [1, 20])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257])
+    def test_block_edges(self, n, m):
+        for p in EXTREMES + [0.5, math.nextafter(0.5, 0.0), flip_probability_for_even_odds(m)]:
+            self.check(m, n, p)
 
 
 class TestStatisticalSanity:

@@ -40,8 +40,11 @@ episode
 generators, which draw label runs through `seeds.choices` and single
 values through `rng.randint` and `rng.choice`, must give the same
 episode and leave the stream in the same state as their `rng.choice`
-versions, and each theorem trial must give the verdict on the episode a
-stdlib replay of its stream draws. The coop experiment drawn as flip
+versions. Each theorem trial, which tests the premises first, must give
+the `premises_hold` and `violation` that `check_proposition` gives on
+the episode a stdlib replay of its stream draws, and `run_theorem_check`
+must tally the premise cases and violations of those checks, also at
+max_len 1, where no premise holds. The coop experiment drawn as flip
 lists must give the same report as the one that walks every meeting.
 `victory_table`, which builds one DP row per prefix of an UP-first word
 and takes the DOWN-first half as the UP-first half reversed, must give
@@ -426,6 +429,20 @@ class TestSoup:
         assert len(layouts) == len(trace)
 
 
+def replayed_check(seed: int, trial: int, max_len: int) -> observe.PropositionCheck:
+    """`check_proposition` on theorem trial `trial`'s episode, replayed
+    from the trial's documented draw order with the stdlib draws:
+    randint(1, 5) labels per alphabet, then the reference generators'
+    episode, deterministic on even trials."""
+    rng = substream(seed, trial)
+    ents = ("A", "B", "C", "D", "E")[:rng.randint(1, 5)]
+    envs = ("V", "W", "X", "Y", "Z")[:rng.randint(1, 5)]
+    generate = (reference.random_deterministic_episode if trial % 2 == 0
+                else reference.random_episode)
+    ep = generate(rng, ents, envs, max_len)
+    return check_proposition(ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs)))
+
+
 class TestEpisodeGenerators:
     @pytest.mark.parametrize("fast, slow", [
         (random_episode, reference.random_episode),
@@ -443,17 +460,22 @@ class TestEpisodeGenerators:
     @pytest.mark.parametrize("max_len", [1, 7, 200])
     @pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED])
     def test_theorem_trial_matches_a_stdlib_replay(self, seed, max_len):
-        # The trial's documented draw order: randint(1, 5) labels per
-        # alphabet, then the episode, deterministic on even trials.
         for trial in range(300):
-            rng = substream(seed, trial)
-            ents = ("A", "B", "C", "D", "E")[:rng.randint(1, 5)]
-            envs = ("V", "W", "X", "Y", "Z")[:rng.randint(1, 5)]
-            generate = (reference.random_deterministic_episode if trial % 2 == 0
-                        else reference.random_episode)
-            ep = generate(rng, ents, envs, max_len)
-            space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
-            assert observe._random_trial(seed, trial, max_len) == check_proposition(ep, space)
+            check = replayed_check(seed, trial, max_len)
+            verdict = check.premises_hold, check.violation
+            assert observe._random_trial(seed, trial, max_len) == verdict
+
+    # At max_len 1 no episode exceeds its threshold, so no premise holds.
+    @pytest.mark.parametrize("max_len", [1, 7, 200])
+    def test_theorem_tallies_match_check_proposition(self, max_len):
+        seed, trials = DEFAULT_SEED, 300
+        checks = [replayed_check(seed, trial, max_len) for trial in range(trials)]
+        _, premises, violations = observe._tally(
+            (check.premises_hold, check.violation) for check in checks)
+        report = observe.run_theorem_check(trials, seed, max_len)
+        assert (report.randomized_trials, report.randomized_premise_cases) == (trials, premises)
+        assert report.violations == violations == 0
+        assert (premises == 0) == (max_len == 1)
 
 
 class TestCoop:

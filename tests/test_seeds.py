@@ -73,3 +73,20 @@ class TestChoices:
                 theirs.choice(seq), repeated_choice(theirs, seq, count))
         assert got == want
         assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_empty_sequence_raises_before_any_draw(self, count):
+        # A generator that fails on any draw, so a choices that loops
+        # on getrandbits(0) fails here instead of hanging.
+        class NoDraws(random.Random):
+            def getrandbits(self, k):
+                raise AssertionError(f"drew getrandbits({k})")
+
+        rng = NoDraws(DEFAULT_SEED)
+        state = rng.getstate()
+        with pytest.raises(IndexError):
+            random.Random(DEFAULT_SEED).choice(())
+        with pytest.raises(IndexError):
+            choices(rng, (), count)
+        assert choices(rng, (), 0) == ()
+        assert rng.getstate() == state
