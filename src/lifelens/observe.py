@@ -250,33 +250,19 @@ class PropositionCheck:
         return self.premises_hold and not self.contradictory
 
 
-def _premises(ep: ObservedEpisode, k: int,
-              scan_env: bool) -> tuple[bool, bool, Witness | None]:
-    """(terminated, exceeds_threshold, env_witness): the proposition's
-    premises on `ep` at threshold k, tested in that order. The
-    environment premise holds when env_witness is None.
-
-    The environment scan is the one premise that is not O(1). With
-    scan_env False it runs only when the first two premises hold, and
-    env_witness is None when it did not run; a premise-first tally needs
-    no more. `check_proposition` passes True, so its record always
-    carries the scan's witness.
-    """
-    terminated = ep.terminated
-    exceeds_threshold = intelligence(ep) > k
-    scan = scan_env or (terminated and exceeds_threshold)
-    return terminated, exceeds_threshold, _first_divergence(ep, 1) if scan else None
-
-
 def check_proposition(ep: ObservedEpisode, space: PerceptionSpace) -> PropositionCheck:
-    """Evaluate premises and conclusion of the pigeonhole implication."""
+    """Evaluate premises and conclusion of the pigeonhole implication.
+
+    Both witness scans run whatever the premises, so the record always
+    carries the environment and the contradiction witness.
+    """
     k = contradiction_threshold(space)
-    terminated, exceeds_threshold, env_witness = _premises(ep, k, scan_env=True)
+    env_witness = _first_divergence(ep, 1)
     contradiction_witness = _first_divergence(ep, 0)
     return PropositionCheck(
-        terminated=terminated,
+        terminated=ep.terminated,
         env_deterministic=env_witness is None,
-        exceeds_threshold=exceeds_threshold,
+        exceeds_threshold=intelligence(ep) > k,
         contradictory=contradiction_witness is not None,
         intelligence=intelligence(ep),
         threshold=k,
@@ -567,8 +553,13 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
 def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     """(premises_hold, violation) of `check_proposition` on one randomized
     episode. Even trials get a deterministic environment by construction,
-    odd trials an arbitrary one. The premises are tested first, so the
-    contradiction scan runs only when they hold.
+    odd trials an arbitrary one.
+
+    The premises are tested in the order terminated, intelligence above
+    the threshold, environment scan, and stop at the first that fails:
+    the environment scan is the one premise that is not O(1), so it runs
+    only when the first two hold, and the contradiction scan only when
+    all three do.
 
     Draw order: `randint(1, 5)` entity labels, `randint(1, 5)` environment
     labels, then the episode.
@@ -579,9 +570,8 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     generate = random_deterministic_episode if trial % 2 == 0 else random_episode
     ep = generate(rng, ents, envs, max_len)
     space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
-    terminated, exceeds_threshold, env_witness = _premises(
-        ep, contradiction_threshold(space), scan_env=False)
-    premises_hold = terminated and exceeds_threshold and env_witness is None
+    premises_hold = (ep.terminated and intelligence(ep) > contradiction_threshold(space)
+                     and _first_divergence(ep, 1) is None)
     return premises_hold, premises_hold and _first_divergence(ep, 0) is None
 
 

@@ -44,8 +44,13 @@ versions. Each theorem trial, which tests the premises first, must give
 the `premises_hold` and `violation` that `check_proposition` gives on
 the episode a stdlib replay of its stream draws, and `run_theorem_check`
 must tally the premise cases and violations of those checks, also at
-max_len 1, where no premise holds. The coop experiment drawn as flip
-lists must give the same report as the one that walks every meeting.
+max_len 1, where no premise holds. The trials must scan an environment
+only when the episode terminated over its threshold, and scan for a
+contradiction only when the premises hold. With the threshold set to
+-1, which every episode exceeds, `lifelens theorem` must exit 1 and
+report the exhaustive plus the randomized violations of those checks.
+The coop experiment drawn as flip lists must give the same report as
+the one that walks every meeting.
 `victory_table`, which builds one DP row per prefix of an UP-first word
 and takes the DOWN-first half as the UP-first half reversed, must give
 each word, by its text, the count `victories_dp` gives it alone, and
@@ -73,6 +78,7 @@ from lifelens.ca import (
     render_pattern,
     run,
 )
+from lifelens.cli import main
 from lifelens.coop import CoopConfig, PayoffMatrix, run_coop_experiment
 from lifelens.observe import (
     ZERO,
@@ -80,6 +86,7 @@ from lifelens.observe import (
     check_proposition,
     find_glider,
     glider_observer,
+    iter_terminated_episodes,
     perceive_trace,
     random_deterministic_episode,
     random_episode,
@@ -476,6 +483,44 @@ class TestEpisodeGenerators:
         assert (report.randomized_trials, report.randomized_premise_cases) == (trials, premises)
         assert report.violations == violations == 0
         assert (premises == 0) == (max_len == 1)
+
+    # Premise-first: every trial reads two O(1) premises, a terminated
+    # trial over its threshold scans its environment, and a trial whose
+    # premises hold scans for a contradiction. Some terminated trials stay
+    # under their threshold, so scanning every terminated environment
+    # would show.
+    def test_theorem_trials_scan_premise_first(self, monkeypatch):
+        seed, trials, max_len = DEFAULT_SEED, 2000, 200
+        checks = [replayed_check(seed, trial, max_len) for trial in range(trials)]
+        over_threshold = sum(c.terminated and c.exceeds_threshold for c in checks)
+        premises = sum(c.premises_hold for c in checks)
+        assert sum(c.terminated for c in checks) > over_threshold > premises > 0
+        scans = []
+        first_divergence = observe._first_divergence
+        monkeypatch.setattr(observe, "_first_divergence",
+                            lambda ep, track: scans.append(track) or first_divergence(ep, track))
+        for trial in range(trials):
+            observe._random_trial(seed, trial, max_len)
+        assert (scans.count(1), scans.count(0)) == (over_threshold, premises)
+
+    # A threshold every episode exceeds makes each terminated episode with
+    # a deterministic environment and no contradiction a violation; the
+    # test patches only its own process's rule, to drive the path that
+    # real checks never reach.
+    def test_theorem_violations_reach_the_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(observe, "contradiction_threshold", lambda space: -1)
+        code = main(["theorem", "--trials", "200", "--max-len", "20"])
+        out, err = capsys.readouterr()
+        assert (code, err, out.splitlines()[-1]) == (1, "", "violations: 29")
+        ents, envs = ("A",), ("X", "Y")
+        space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
+        exhaustive = sum(check_proposition(ep, space).violation
+                         for ep in iter_terminated_episodes(ents, envs, 10))
+        randomized = sum(replayed_check(DEFAULT_SEED, trial, 20).violation
+                         for trial in range(200))
+        assert (exhaustive, randomized) == (8, 21)
+        report = observe.run_theorem_check(200, DEFAULT_SEED, 20)
+        assert report.violations == exhaustive + randomized
 
 
 class TestCoop:

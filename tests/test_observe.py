@@ -257,18 +257,27 @@ class TestProposition:
         assert verdict.contradictory
         assert not verdict.violation
 
+    # The record carries both witnesses even when a premise fails: the
+    # entity's last step (to ZERO) differs from its first.
     def test_short_episode_leaves_premises_unmet(self):
         ep = episode(("A", "A"), ("X", "X"), next_pair=(ZERO, "X"))
         verdict = check_proposition(ep, self.SPACE)
         assert not verdict.exceeds_threshold
         assert not verdict.premises_hold
         assert not verdict.violation
+        assert verdict.contradiction_witness == Witness(0, 1)
+        assert verdict.contradictory
 
-    def test_unterminated_episode_leaves_premises_unmet(self):
-        ep = episode(("A",) * 8, ("X",) * 8)
-        verdict = check_proposition(ep, self.SPACE)
+    @pytest.mark.parametrize("ents, envs, env_witness", [
+        (("A",) * 8, ("X",) * 8, None),
+        (("A", "A", "A"), ("X", "X", "Y"), Witness(0, 1)),
+    ], ids=["deterministic-env", "nondeterministic-env"])
+    def test_unterminated_episode_leaves_premises_unmet(self, ents, envs, env_witness):
+        verdict = check_proposition(episode(ents, envs), self.SPACE)
         assert not verdict.terminated
         assert not verdict.premises_hold
+        assert verdict.env_witness == env_witness
+        assert verdict.env_deterministic == (env_witness is None)
 
     def test_exhaustive_small_alphabet_has_no_violation(self):
         # The full sweep (lifetimes to 10) runs in test_acceptance; this
