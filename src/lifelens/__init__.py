@@ -8,6 +8,7 @@ from .ca import (
     GLIDER,
     PatternError,
     Trace,
+    find_glider,
     glider_block_scene,
     life_step,
     parse_pattern,
@@ -47,7 +48,6 @@ from .observe import (
     contradiction_threshold,
     dual_view,
     extract_entities,
-    find_glider,
     format_perceived_trace,
     glider_observer,
     intelligence,

@@ -191,11 +191,6 @@ class _Band(NamedTuple):
     stride: int
     plane: int
 
-    def cell(self, bit: int) -> Cell:
-        """The cell that bit `bit` of the plane stands for."""
-        y, x = divmod(bit, self.stride)
-        return self.x0 + x, self.y0 + y
-
 
 def _layout(base: int, rows: dict[int, int]) -> list[_Band]:
     """Lay packed rows, bit i of rows[y] being cell (base + i, y), out as
@@ -214,8 +209,8 @@ def _layout(base: int, rows: dict[int, int]) -> list[_Band]:
     plane: so a cut is made only where it takes at least that many
     dead cells, and 8 bytes of every row, out of the plane, and a tall
     cluster does not pay for the many columns between it and a far
-    pattern in the same rows. Each band is a _Band, whose `cell` maps a bit
-    back to its cell:
+    pattern in the same rows. Each band is a _Band, read only by
+    life_step and find_glider:
 
     - cell (x, y) sits at bit (y - y0) * stride + (x - x0) of plane.
       y0 is one above the band's first row, so a dead row sits below
@@ -231,7 +226,10 @@ def _layout(base: int, rows: dict[int, int]) -> list[_Band]:
     slices of one stride each. So a shift of the plane by whole strides
     and at most 1 bit right or 8 bits left carries across a row
     boundary only bit 0 or the dead margin: the dead cells a row-by-row
-    step sees there.
+    step sees there. find_glider reads cells at most 3 columns either
+    side of an anchor, from one row above it to three rows below. For a
+    match each of them is within one column of a live cell, so bit 0 and
+    the dead margin keep every such read inside its row too.
     """
     bands = []
     todo = [(base, rows)]
@@ -333,6 +331,74 @@ def run(initial: CAState, steps: int) -> Trace:
 
 GLIDER = parse_pattern(".O.\n..O\nOOO")
 BLOCK = parse_pattern("OO\nOO")
+
+
+def _glider_stencils() -> tuple[tuple[tuple[Cell, ...], tuple[tuple[int, int, int], ...]], ...]:
+    """Per glider phase, its cells and one (dx, dy, flip) term per cell
+    to test.
+
+    The four phases are GLIDER and its next three life_step states. Each
+    phase's cells are offsets from its anchor, its (y, x)-least cell, in
+    sorted order. The terms are the body cells with flip 0, then the
+    halo (cells adjacent to the body) with flip -1, which inverts the
+    band to ask for dead cells."""
+    stencils = []
+    state = GLIDER
+    for _ in range(4):
+        ax, ay = min(state.live, key=lambda c: (c[1], c[0]))
+        phase = tuple(sorted((x - ax, y - ay) for x, y in state.live))
+        halo = {(x + dx, y + dy) for x, y in phase for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+        terms = [(dx, dy, 0) for dx, dy in phase]
+        terms += [(dx, dy, -1) for dx, dy in sorted(halo - set(phase))]
+        stencils.append((phase, tuple(terms)))
+        state = life_step(state)
+    return tuple(stencils)
+
+
+_GLIDER_STENCILS = _glider_stencils()
+
+
+def find_glider(state: CAState) -> frozenset[Cell] | None:
+    """The cell set of a detected glider phase, or None.
+
+    A detection is a translation of one of the four glider phases that is
+    a subset of the live cells and has no other live cell adjacent to it
+    (Chebyshev distance 1). With several detections, the one whose sorted
+    (y, x) cell list is lexicographically least wins, so detection is a
+    function of the state alone.
+
+    The state keeps its bands (see CAState), laid out as _layout
+    describes; an empty state has no bands and no detection. For each
+    band and each phase, `hits` ANDs the phase's terms: the band's int
+    shifted right by `dx + dy * stride`, which brings the cell (dx, dy)
+    from an anchor down to that anchor's own bit, inverted for a halo
+    cell. So one bit marks each anchor, the phase's (y, x)-least cell.
+    An isolated detection is a whole 8-connected component, so
+    detections are disjoint and an anchor has one phase at most: the
+    (y, x)-least anchor is the least cell list. Bands come in order of
+    their top row, so once one starts below the best anchor so far, no
+    later band holds a better one.
+    """
+    best = None
+    for y0, x0, stride, plane in state._bands:
+        if best is not None and y0 >= best[0]:
+            break
+        for phase, terms in _GLIDER_STENCILS:
+            hits = -1
+            for dx, dy, flip in terms:
+                k = dx + dy * stride
+                hits &= (plane >> k if k >= 0 else plane << -k) ^ flip
+                if not hits:
+                    break
+            else:
+                y, x = divmod((hits & -hits).bit_length() - 1, stride)
+                y, x = y0 + y, x0 + x
+                if best is None or (y, x) < best[:2]:
+                    best = y, x, phase
+    if best is None:
+        return None
+    y, x, phase = best
+    return frozenset((x + dx, y + dy) for dx, dy in phase)
 
 # Glider aimed at a block, tuned so the glider stays cleanly detectable
 # (no other live cell adjacent to it) for exactly states 0..14, after

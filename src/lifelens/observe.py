@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .ca import Cell, CAState, Trace, life_step, GLIDER
+from .ca import Cell, CAState, Trace, find_glider
 from .seeds import choices, substream
 
 Label = Hashable
@@ -300,80 +300,6 @@ def dual_view(ep: ObservedEpisode) -> ObservedEpisode:
 
 # ---------------------------------------------------------------------------
 # The glider observer
-
-
-# The farthest a halo cell lies right of its phase's anchor.
-_REACH = 3
-
-
-def _glider_stencils() -> tuple[tuple[tuple[Cell, ...], tuple[tuple[int, int, int], ...]], ...]:
-    """Per glider phase, its cells and one (dy, shift, flip) term per
-    cell to test.
-
-    The four phases are GLIDER and its next three life_step states. Each
-    phase's cells are offsets from its anchor, its (y, x)-least cell, in
-    sorted order. The terms are the body cells with flip 0, then the
-    halo (cells adjacent to the body) with flip -1, which inverts the
-    band to ask for dead cells. The shift is _REACH - dx: find_glider
-    shifts a band's int left by it, less dy strides, which puts the cell
-    (dx, dy) from an anchor at that anchor's bit plus _REACH."""
-    stencils = []
-    state = GLIDER
-    for _ in range(4):
-        ax, ay = min(state.live, key=lambda c: (c[1], c[0]))
-        phase = tuple(sorted((x - ax, y - ay) for x, y in state.live))
-        halo = {(x + dx, y + dy) for x, y in phase for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
-        terms = [(dy, _REACH - dx, 0) for dx, dy in phase]
-        terms += [(dy, _REACH - dx, -1) for dx, dy in sorted(halo - set(phase))]
-        stencils.append((phase, tuple(terms)))
-        state = life_step(state)
-    return tuple(stencils)
-
-
-_GLIDER_STENCILS = _glider_stencils()
-
-
-def find_glider(state: CAState) -> frozenset[Cell] | None:
-    """The cell set of a detected glider phase, or None.
-
-    A detection is a translation of one of the four glider phases that is
-    a subset of the live cells and has no other live cell adjacent to it
-    (Chebyshev distance 1). With several detections, the one whose sorted
-    (y, x) cell list is lexicographically least wins, so detection is a
-    function of the state alone.
-
-    The state keeps its bands (see CAState), laid out as ca._layout
-    describes; an empty state has no bands and no detection. For each
-    band and each phase, `hits` ANDs the phase's terms: the band's int
-    shifted left by `shift - dy * stride`, inverted for a halo cell. So
-    one bit marks each anchor, the phase's (y, x)-least cell, _REACH
-    bits above the anchor's own bit, and the band's `cell` gives the
-    anchor. An isolated detection is a whole 8-connected component, so
-    detections are disjoint and an anchor has one phase at most: the
-    (y, x)-least anchor is the least cell list. Bands come in order of
-    their top row, so once one starts below the best anchor so far, no
-    later band holds a better one.
-    """
-    best = None
-    for band in state._bands:
-        if best is not None and band.y0 >= best[0]:
-            break
-        stride, plane = band.stride, band.plane
-        for phase, terms in _GLIDER_STENCILS:
-            hits = -1
-            for dy, shift, flip in terms:
-                shift -= dy * stride
-                hits &= (plane << shift if shift >= 0 else plane >> -shift) ^ flip
-                if not hits:
-                    break
-            else:
-                x, y = band.cell((hits & -hits).bit_length() - 1 - _REACH)
-                if best is None or (y, x) < best[:2]:
-                    best = y, x, phase
-    if best is None:
-        return None
-    y, x, phase = best
-    return frozenset((x + dx, y + dy) for dx, dy in phase)
 
 
 def glider_observer() -> Observer:

@@ -6,8 +6,11 @@ results: the set-based Life step and glider detection, the render that
 looks up every viewport cell (the render oracle for the one built on
 `ca.pack_rows`), the glider phases the scan looks for, stepped and
 normalised here, the episode generators built on `rng.choice` and
-`rng.randint`, and the coop experiment that walks every meeting.
-Nothing in the package imports this module.
+`rng.randint`, and the coop experiment that walks every meeting. The
+small helpers these need, the generators' argument rule, the stance
+table and the NaN-guarded mean, are copied here too, so no oracle
+checks a rule with the code that states it. Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -18,20 +21,14 @@ from typing import Sequence
 
 from lifelens.ca import GLIDER, CAState, Cell
 from lifelens.coop import (
-    _BY_BOOL,
     CoopConfig,
     CoopReport,
     IndividualRecord,
     PayoffMatrix,
     RepetitionResult,
-    _mean,
+    Stance,
 )
-from lifelens.observe import (
-    ZERO,
-    Label,
-    ObservedEpisode,
-    _check_episode_args,
-)
+from lifelens.observe import ZERO, Label, ObservedEpisode
 from lifelens.seeds import substream
 
 _OFFSETS: tuple[Cell, ...] = tuple(
@@ -128,6 +125,17 @@ def render_pattern(state: CAState, viewport: tuple[int, int, int, int] | None = 
     return "\n".join(rows)
 
 
+def _check_episode_args(ent_labels: Sequence[Label], env_labels: Sequence[Label],
+                        max_len: int) -> None:
+    """The generators' one argument rule, checked before any draw."""
+    if not ent_labels or not env_labels:
+        raise ValueError("both label alphabets must be nonempty")
+    if any(e is ZERO for e in ent_labels):
+        raise ValueError("ent_labels must not include ZERO")
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+
+
 def random_episode(rng: random.Random, ent_labels: Sequence[Label],
                    env_labels: Sequence[Label], max_len: int) -> ObservedEpisode:
     """A uniformly scrambled episode; terminated with probability 1/2."""
@@ -160,6 +168,15 @@ def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label]
         envs.append(table[(ents[i], envs[i])])
     nxt_env = table[(ents[-1], envs[-1])]
     return ObservedEpisode(0, ents, tuple(envs), (ZERO, nxt_env), True)
+
+
+# Stances indexed by the bool "is COOP", as the inner loop below encodes them.
+_BY_BOOL = (Stance.NONCOOP, Stance.COOP)
+
+
+def _mean(total: float, count: int) -> float:
+    """total / count, or NaN when nothing was counted."""
+    return total / count if count else float("nan")
 
 
 def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix()) -> CoopReport:

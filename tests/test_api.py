@@ -2,27 +2,30 @@
 the promise that the package needs nothing beyond the standard library
 at run time, a `CAState` that looks the same before and after its rows
 are memoised and before and after a stepped state's cells are unpacked,
-and the module attributes a profiler rebinds, which the package must
-keep calling through.
+the module attributes a profiler rebinds, which the package must keep
+calling through, and `ca` as the one module that reads a state's bands.
 
 A change to this list is a change to the public API, so it has to be
 made here on purpose.
 """
 
+import ast
 import copy
 import dataclasses
 import json
 import pickle
 import random
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import lifelens
 import reference
-from lifelens import ca, cli
+from lifelens import ca, cli, observe
 
 PUBLIC_NAMES = [
     "BLOCK", "BonusDemo", "CAState", "Cell", "ConsistentPolicy", "CoopConfig",
@@ -226,3 +229,18 @@ def test_life_renders_through_the_module_render_pattern(monkeypatch, tmp_path, c
         assert cli.main(["life", str(pattern), "--steps", "4", *extra]) == 0
         assert len(calls) == 5
     capsys.readouterr()
+
+
+def test_observe_reads_states_only_through_ca_public_names():
+    # ca lays a state out in bands and is the only module that reads
+    # them: observe imports none of ca's private names, reads none of a
+    # state's private forms, and calls ca's own find_glider, which the
+    # package exports as it is.
+    source = Path(observe.__file__).read_text(encoding="utf-8")
+    imported = [alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "ca"
+                for alias in node.names]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
+    assert re.findall(r"\b(?:_bands|_packed|_layout)\b", source) == []
+    assert lifelens.find_glider is ca.find_glider is observe.find_glider

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from lifelens.cli import main
 from lifelens.coop import (
     CoopConfig,
     IndividualRecord,
@@ -131,6 +132,23 @@ class TestDegenerateRates:
             # Flipping before every meeting alternates the stance.
             assert all(history[i] != history[i + 1] for i in range(len(history) - 1))
             assert history[0] != rep.winner.initial_stance
+
+
+    def test_a_run_without_a_coop_meeting_has_a_nan_coop_mean(self, capsys):
+        # At seed 2 the lone player starts NONCOOP and never flips, so no
+        # meeting is a coop one: its mean is NaN, not 0.0, here and in
+        # the CLI's summary line.
+        report = run_coop_experiment(
+            CoopConfig(env_size=1, population=1, flip_probability=0.0,
+                       repetitions=1, seed=2))
+        (rep,) = report.repetitions
+        assert math.isnan(report.mean_payoff_coop)
+        assert math.isnan(rep.mean_payoff_coop)
+        assert report.mean_payoff_noncoop == rep.mean_payoff_noncoop == 1.0
+        code = main("coop --env-size 1 --population 1 --flip-probability 0 --reps 1 --seed 2".split())
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.endswith("mean meeting payoff: coop nan, noncoop 1.0000\n")
 
 
 class TestExperimentShape:

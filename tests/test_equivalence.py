@@ -324,7 +324,7 @@ class TestRenderPattern:
 
 class TestFindGlider:
     def test_stencil_phases_are_the_oracles(self):
-        assert tuple(phase for phase, _ in observe._GLIDER_STENCILS) == GLIDER_PHASES
+        assert tuple(phase for phase, _ in ca._GLIDER_STENCILS) == GLIDER_PHASES
 
     @given(states)
     @example(EMPTY)

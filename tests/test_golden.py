@@ -9,12 +9,13 @@ a changed output pass.
 """
 
 import json
+import random
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
-from lifelens.ca import glider_block_scene, render_pattern
+from lifelens.ca import GLIDER, CAState, glider_block_scene, parse_pattern, render_pattern
 from lifelens.cli import main
 from lifelens.seeds import DEFAULT_SEED
 
@@ -70,7 +71,36 @@ GOLDEN = {
     # word table: the smallest table, where the walk has no letters left.
     "updown --n 2":
         "2b0e33c49a9b3ea9b45517593480834afd2bd831b4f0c5860c51e516eb88e2e7",
+    # Recorded before the glider scan moved into ca: a first state that
+    # _layout cuts by columns (2,654,056 bytes), and a long soup run
+    # (4,182,284 bytes), a multi-megabyte digest of `life`.
+    "life cut.txt --steps 12":
+        "fe69052af3c198468d40edcb6fa2b85c26e9ce74b52f79e7fdd575a659126a93",
+    "life soup.txt --steps 300":
+        "ad41c7c07606d72e815232d08bd7484bbb972bd04ce95f663910235b9bc42207",
 }
+
+
+def column_cut() -> CAState:
+    """A ladder of still blocks at x 0-1, in rows 3k and 3k + 1 for
+    k < 14, a block at x 4000-4001 in its first two rows, and a glider
+    below the ladder. The far block shares the ladder's rows, so
+    _layout cuts that band by columns."""
+    cells = {(x, 3 * k + dy) for k in range(14) for x in (0, 1) for dy in (0, 1)}
+    cells |= {(x, y) for x in (4000, 4001) for y in (0, 1)}
+    cells |= {(x + 10, y + 45) for x, y in GLIDER.live}
+    return CAState(frozenset(cells))
+
+
+def soup() -> CAState:
+    """A 60x60 soup at density 0.35, drawn row by row from one seeded
+    generator."""
+    rng = random.Random(271828)
+    return CAState(frozenset((x, y) for y in range(60) for x in range(60) if rng.random() < 0.35))
+
+
+# The pattern files a golden `life` run may read, made in its directory.
+PATTERNS = {"scene.txt": glider_block_scene, "cut.txt": column_cut, "soup.txt": soup}
 
 SEEDED = ("coop", "market", "theorem")
 
@@ -80,11 +110,20 @@ BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_stdout_matches_the_frozen_digest(label, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "scene.txt").write_text(render_pattern(glider_block_scene()), encoding="ascii")
+    for name in set(label.split()) & set(PATTERNS):
+        (tmp_path / name).write_text(render_pattern(PATTERNS[name]()), encoding="ascii")
     code = main(label.split())
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert sha256(out.encode()).hexdigest() == GOLDEN[label]
+
+
+def test_the_cut_input_lays_out_as_a_column_cut():
+    # The state `life cut.txt` starts from: the ladder and the far block
+    # are two bands that share their top row, which only a column cut
+    # makes, and the glider is the third.
+    state = parse_pattern(render_pattern(column_cut()))
+    assert [band.y0 for band in state._bands] == [-1, -1, 44]
 
 
 def bench_label(label: str) -> str:
