@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .ca import Cell, CAState, Trace, find_glider
-from .seeds import choices, substream
+from .seeds import WordReader, choices, label_words, substream
 
 Label = Hashable
 """Perception labels are opaque; they only need equality and hashing."""
@@ -455,6 +455,12 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     an episode of lifetime up to max_len, alternating between arbitrary
     episodes and constructed deterministic-environment episodes so the
     premises are actually exercised.
+
+    Trial t draws from its own `substream(seed, t)`, which nothing reads
+    after the trial. So `_random_trial` may read the trial's label draws
+    from one block of raw generator words that overdraws the stream: the
+    values, and so the tallies, equal those of the stream-exact
+    generators, and only the discarded stream's final state differs.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -479,26 +485,77 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
 def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     """(premises_hold, violation) of `check_proposition` on one randomized
     episode. Even trials get a deterministic environment by construction,
-    odd trials an arbitrary one.
-
-    The premises are tested in the order terminated, intelligence above
-    the threshold, environment scan, and stop at the first that fails:
-    the environment scan is the one premise that is not O(1), so it runs
-    only when the first two hold, and the contradiction scan only when
-    all three do.
+    as `random_deterministic_episode` builds it, odd trials an arbitrary
+    one, as `random_episode` does.
 
     Draw order: `randint(1, 5)` entity labels, `randint(1, 5)` environment
-    labels, then the episode.
+    labels, then the episode's draws in its generator's order. The trial
+    makes the episode's table and lifetime draws itself, and reads its
+    label draws and termination coin through `seeds.WordReader` from one
+    block of raw generator words. The trial's substream is private and
+    discarded, so the block may overdraw: every value equals the
+    sequential draw's, and only the stream state after the trial differs.
+
+    The episode is never built. Label number i of an alphabet is code i,
+    a moment's pair is e * 5 + v, and ZERO, the entity after the end, is
+    code 5. The premises are tested in the order terminated, intelligence
+    above the threshold, environment, and the trial stops at the first
+    that fails. Even trials are terminated by construction; the threshold
+    is tested right after the lifetime draw, before any label is read, so
+    an odd trial's coin, drawn after its labels, comes second only in
+    time. `_determines` checks the environment only when both hold, and
+    the contradiction only when all three do.
     """
     rng = substream(seed, trial)
-    ents = _ENT_ALPHABET[:rng.randint(1, len(_ENT_ALPHABET))]
-    envs = _ENV_ALPHABET[:rng.randint(1, len(_ENV_ALPHABET))]
-    generate = random_deterministic_episode if trial % 2 == 0 else random_episode
-    ep = generate(rng, ents, envs, max_len)
-    space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
-    premises_hold = (ep.terminated and intelligence(ep) > contradiction_threshold(space)
-                     and _first_divergence(ep, 1) is None)
-    return premises_hold, premises_hold and _first_divergence(ep, 0) is None
+    a = rng.randint(1, len(_ENT_ALPHABET))
+    b = rng.randint(1, len(_ENV_ALPHABET))
+    space = PerceptionSpace(frozenset({ZERO, *_ENT_ALPHABET[:a]}), frozenset(_ENV_ALPHABET[:b]))
+    threshold = contradiction_threshold(space)
+    deterministic = trial % 2 == 0
+    if deterministic:
+        table = choices(rng, range(b), a * b)
+    length = rng.randint(1, max_len)
+    if length - 1 <= threshold:
+        return False, False
+    if deterministic:
+        words = WordReader(rng, label_words(a, length) + label_words(b, 1))
+        ents = words.choices(a, length)
+        env = words.choices(b, 1)[0]
+        envs = bytearray()
+        for e in ents:
+            envs.append(env)
+            env = table[e * b + env]
+    else:
+        words = WordReader(rng, label_words(a, length) + label_words(b, length) + 2
+                           + label_words(b, 1))
+        ents = words.choices(a, length)
+        envs = words.choices(b, length)
+        if not words.coin():
+            return False, False
+        env = words.choices(b, 1)[0]
+    # env is now the environment label after the end.
+    pairs = (int.from_bytes(ents, "big") * 5 + int.from_bytes(envs, "big")).to_bytes(length, "big")
+    if not _determines(pairs, envs[1:] + bytes((env,))):
+        return False, False
+    return True, _determines(pairs, ents[1:] + b"\x05")
+
+
+# Every byte value once: deleting a bytes object's values from it leaves
+# 256 minus the number of distinct values that object holds.
+_BYTE_VALUES = bytes(range(256))
+
+
+def _determines(pairs: bytes, successors: bytes) -> bool:
+    """Whether equal pair codes are always followed by equal successor
+    codes: exactly when the keys pair * 6 + successor take as many values
+    as the pairs do, `len(set(keys)) == len(set(pairs))`, counted in C by
+    deleting each from `_BYTE_VALUES`. Pair codes are below 25 and
+    successor codes at most 5, so every key is below 256, and the int
+    arithmetic that builds the keys of all moments at once carries
+    across no byte."""
+    keys = int.from_bytes(pairs, "big") * 6 + int.from_bytes(successors, "big")
+    return (len(_BYTE_VALUES.translate(None, keys.to_bytes(len(pairs), "big")))
+            == len(_BYTE_VALUES.translate(None, pairs)))
 
 
 def _tally(verdicts: Iterable[tuple[bool, bool]]) -> tuple[int, int, int]:

@@ -8,6 +8,7 @@ repetitions consumed.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -34,9 +35,13 @@ def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
     only `getrandbits`. An empty seq with count > 0 raises IndexError
     before any draw, as `rng.choice(())` does. Single draws elsewhere in
     the package call `rng.randint` and `rng.choice` themselves, except
-    coop's stances and flips: `coop._draw_repetition` reads those
-    `rng.random()` draws from blocks of raw generator words, under the
-    word rule its docstring states, and tests/test_coop.py pins it.
+    coop's stances and flips and the theorem trials' labels:
+    `coop._draw_repetition` reads those `rng.random()` draws from blocks
+    of raw generator words, under the word rule its docstring states,
+    and tests/test_coop.py pins it; `WordReader` below reads each random
+    theorem trial's label draws and its termination coin from one block
+    of words, under the rule its docstring states, and
+    tests/test_seeds.py pins it.
 
     `market.run_market_experiment` restates the rule twice, for group
     A's committed trades and for group B's daily trade.
@@ -56,3 +61,81 @@ def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
             r = getrandbits(k)
         drawn.append(seq[r])
     return tuple(drawn)
+
+
+def label_words(n: int, count: int) -> int:
+    """The words `WordReader` draws for `count` draws below n: their mean,
+    2**k / n words a draw with k = n.bit_length(), plus its square root,
+    about one standard deviation, and 4. A block that runs short is
+    refilled, so this sizes blocks and decides no value."""
+    mean = (count << n.bit_length()) // n
+    return mean + math.isqrt(mean) + 4
+
+
+# Per n in 1..5, the `bytes.translate` table that turns a word's top byte
+# into its draw below n, its top k = n.bit_length() bits, or into
+# _REJECTED when that draw reaches n and the rule retries.
+_REJECTED = 255
+_CODES = {n: bytes(top >> (8 - n.bit_length()) if top >> (8 - n.bit_length()) < n else _REJECTED
+                   for top in range(256))
+          for n in range(1, 6)}
+
+
+class WordReader:
+    """Draws below n <= 5 and coin flips, read from one block of a
+    generator's raw 32-bit words.
+
+    The word rule, which `random.Random` does not document but CPython
+    3.10-3.13 follow: `rng.choice(seq)` with n = len(seq) takes the top
+    k = n.bit_length() bits of the next word and retries while they
+    reach n (the `_randbelow` rule `choices` restates), `rng.random() <
+    0.5` holds exactly when the top bit of the next word is clear and
+    takes one more word, and `getrandbits(32 * N)` returns the next N
+    words, lowest first. So for n <= 5, whose k is at most 3, a draw is
+    its word's top byte shifted right by 8 - k, rejected when it reaches
+    n, and a coin is "the top byte is below 128". A run of `count` draws
+    is one `bytes.translate` of the top bytes into draws, with the
+    rejected ones marked; the run ends where `count` unmarked bytes have
+    been read, which `bytes.count` over the marks finds, and deleting
+    the marks leaves the draws.
+
+    The reader draws `words` words up front, and a further block, sized
+    by `label_words`, whenever a run would read past the end. So every
+    value it returns equals the sequential draw's, but the generator
+    ends up to a block ahead of where those draws would leave it: use it
+    only on a stream that nothing draws from afterwards, such as one
+    theorem trial's `substream`. tests/test_seeds.py pins it against
+    `rng.choice` and `rng.random` on a twin generator, refills included.
+    """
+
+    __slots__ = ("_rng", "_tops", "_pos")
+
+    def __init__(self, rng: random.Random, words: int):
+        self._rng = rng
+        self._tops = b""
+        self._pos = 0
+        self._draw(words)
+
+    def _draw(self, words: int) -> None:
+        """Append the top bytes of the next `words` words."""
+        self._tops += self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+
+    def choices(self, n: int, count: int) -> bytes:
+        """`bytes(rng.choice(range(n)) for _ in range(count))`, 1 <= n <= 5."""
+        start = end = self._pos
+        codes = self._tops.translate(_CODES[n])
+        missing = count
+        while missing:
+            if len(codes) < end + missing:
+                self._draw(max(label_words(n, missing), missing))
+                codes = self._tops.translate(_CODES[n])
+            missing, end = codes.count(_REJECTED, end, end + missing), end + missing
+        self._pos = end
+        return codes[start:end].translate(None, bytes((_REJECTED,)))
+
+    def coin(self) -> bool:
+        """`rng.random() < 0.5`, which reads two words."""
+        if len(self._tops) < self._pos + 2:
+            self._draw(2)
+        self._pos += 2
+        return self._tops[self._pos - 2] < 128

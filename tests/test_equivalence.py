@@ -40,15 +40,19 @@ episode
 generators, which draw label runs through `seeds.choices` and single
 values through `rng.randint` and `rng.choice`, must give the same
 episode and leave the stream in the same state as their `rng.choice`
-versions. Each theorem trial, which tests the premises first, must give
-the `premises_hold` and `violation` that `check_proposition` gives on
-the episode a stdlib replay of its stream draws, and `run_theorem_check`
-must tally the premise cases and violations of those checks, also at
-max_len 1, where no premise holds. The trials must scan an environment
-only when the episode terminated over its threshold, and scan for a
-contradiction only when the premises hold. With the threshold set to
--1, which every episode exceeds, `lifelens theorem` must exit 1 and
-report the exhaustive plus the randomized violations of those checks.
+versions. Each theorem trial, which reads its label draws from one
+block of raw generator words and tests the premises first on their
+codes, must give the `premises_hold` and `violation` that
+`check_proposition` gives on the episode a stdlib replay of its stream
+draws, at fixed and at drawn seeds, trials of both parities and
+lifetimes up to 1000, and `run_theorem_check` must tally the premise
+cases and violations of those checks, also at max_len 1, where no
+premise holds. The trials must check an environment only when the
+episode terminated over its threshold, and check for a contradiction
+only when the premises hold, never through the witness scan. With the
+threshold set to -1, which every episode exceeds, `lifelens theorem`
+must exit 1 and report the exhaustive plus the randomized violations of
+those checks.
 The coop experiment drawn as flip lists must give the same report as
 the one that walks every meeting.
 `victory_table`, which builds one DP row per prefix of an UP-first word
@@ -472,6 +476,17 @@ class TestEpisodeGenerators:
             verdict = check.premises_hold, check.violation
             assert observe._random_trial(seed, trial, max_len) == verdict
 
+    # Drawn seeds, trials of both parities and lifetimes up to 1000, whose
+    # label runs span blocks of hundreds of words and their refills.
+    @example(seed=DEFAULT_SEED, trial=0, max_len=1000)
+    @example(seed=DEFAULT_SEED, trial=1, max_len=1000)
+    @given(seed=st.integers(0, 2 ** 64 - 1), trial=st.integers(0, 10 ** 6),
+           max_len=st.integers(1, 1000))
+    def test_theorem_trial_matches_a_stdlib_replay_at_drawn_seeds(self, seed, trial, max_len):
+        check = replayed_check(seed, trial, max_len)
+        assert observe._random_trial(seed, trial, max_len) == (check.premises_hold,
+                                                               check.violation)
+
     # At max_len 1 no episode exceeds its threshold, so no premise holds.
     @pytest.mark.parametrize("max_len", [1, 7, 200])
     def test_theorem_tallies_match_check_proposition(self, max_len):
@@ -485,23 +500,27 @@ class TestEpisodeGenerators:
         assert (premises == 0) == (max_len == 1)
 
     # Premise-first: every trial reads two O(1) premises, a terminated
-    # trial over its threshold scans its environment, and a trial whose
-    # premises hold scans for a contradiction. Some terminated trials stay
-    # under their threshold, so scanning every terminated environment
-    # would show.
+    # trial over its threshold checks its environment's codes, and a trial
+    # whose premises hold then checks its entity's codes for a
+    # contradiction. Some terminated trials stay under their threshold, so
+    # checking every terminated environment would show.
     def test_theorem_trials_scan_premise_first(self, monkeypatch):
         seed, trials, max_len = DEFAULT_SEED, 2000, 200
         checks = [replayed_check(seed, trial, max_len) for trial in range(trials)]
         over_threshold = sum(c.terminated and c.exceeds_threshold for c in checks)
         premises = sum(c.premises_hold for c in checks)
         assert sum(c.terminated for c in checks) > over_threshold > premises > 0
-        scans = []
-        first_divergence = observe._first_divergence
-        monkeypatch.setattr(observe, "_first_divergence",
-                            lambda ep, track: scans.append(track) or first_divergence(ep, track))
+        # Each trial checks its environment first and its contradiction
+        # second, on codes: the witness scan is out of reach.
+        determines = observe._determines
+        per_trial = Counter()
+        monkeypatch.setattr(observe, "_first_divergence", None)
+        monkeypatch.setattr(observe, "_determines", lambda pairs, successors:
+                            per_trial.update((trial,)) or determines(pairs, successors))
         for trial in range(trials):
             observe._random_trial(seed, trial, max_len)
-        assert (scans.count(1), scans.count(0)) == (over_threshold, premises)
+        assert max(per_trial.values()) == 2
+        assert (len(per_trial), list(per_trial.values()).count(2)) == (over_threshold, premises)
 
     # A threshold every episode exceeds makes each terminated episode with
     # a deterministic environment and no contradiction a violation; the

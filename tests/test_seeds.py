@@ -6,7 +6,11 @@ documented API. These tests compare it with repeated `choice` on the
 running interpreter, alone and interleaved with the `randint` and
 `choice` single draws the episode generators make, values and final
 stream state alike, so a CPython that changes the rule fails here by
-name before any golden digest moves.
+name before any golden digest moves. `WordReader` reads the same draws,
+and `random() < 0.5`, from blocks of raw words under the word rule its
+docstring states; its runs of draws below 1..5, and the coin and the
+choice after them, must equal `choice` and `random` on a twin generator,
+also when every block is too short and each run refills it.
 """
 
 import random
@@ -14,7 +18,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lifelens.seeds import DEFAULT_SEED, choices, substream
+from lifelens import seeds as seeds_module
+from lifelens.seeds import DEFAULT_SEED, WordReader, choices, substream
 
 seeds = st.integers(0, 2 ** 64 - 1)
 # The episode alphabets' sizes. Each rejects some of its draws of
@@ -90,3 +95,23 @@ class TestChoices:
             choices(rng, (), count)
         assert choices(rng, (), 0) == ()
         assert rng.getstate() == state
+
+
+class TestWordReader:
+    # With refill, the size estimate is 0: the first block is empty, and
+    # every run and coin draws the words it lacks as it goes.
+    @pytest.mark.parametrize("refill", [False, True], ids=["estimated", "refilled"])
+    @given(seed=seeds, runs=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 300)),
+                                      min_size=1, max_size=3), last=st.integers(1, 5))
+    def test_equals_choice_and_random(self, refill, seed, runs, last):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if refill:
+                patch.setattr(seeds_module, "label_words", lambda n, count: 0)
+            words = WordReader(ours, sum(seeds_module.label_words(n, count) for n, count in runs))
+            got = [(words.choices(n, count), words.coin()) for n, count in runs]
+            got.append(words.choices(last, 1)[0])
+        want = [(bytes(theirs.choice(range(n)) for _ in range(count)), theirs.random() < 0.5)
+                for n, count in runs]
+        want.append(theirs.choice(range(last)))
+        assert got == want

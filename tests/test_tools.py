@@ -1,9 +1,12 @@
-"""tools/code_lines.py, the code-line counter, on small sources.
+"""The scripts in tools/, on small inputs.
 
-The tool is a script, not part of the package, so it is loaded by path.
-Each case pins one of its stated rules: docstrings of a module, class or
-function, comments and blank lines do not count; a statement over
-several lines counts each line; a string that is not a docstring counts.
+The tools are scripts, not part of the package, so they are loaded by
+path. Each case of tools/code_lines.py, the code-line counter, pins one
+of its stated rules: docstrings of a module, class or function, comments
+and blank lines do not count; a statement over several lines counts each
+line; a string that is not a docstring counts. tools/golden.py must pass
+golden runs whose digests match and name each run that differs from its
+digest, or that fails.
 """
 
 import importlib.util
@@ -11,10 +14,17 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+
+def load_tool(name: str):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool("code_lines")
+golden = load_tool("golden")
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -43,3 +53,14 @@ def test_main_totals_its_module_lines(capsys):
     for path in paths:
         assert modules[path.name] == code_lines.code_lines(path.read_text(encoding="utf-8"))
     assert rows[-1] == ["total", str(sum(modules.values()))]
+
+
+def test_golden_check_names_only_the_runs_that_differ():
+    digests = golden.load()
+    labels = ["updown --n 2", "life scene.txt", "theorem --trials 400 --max-len 1"]
+    assert golden.check({label: digests[label] for label in labels}) == []
+    changed = {label: digests[label] for label in labels}
+    changed["life scene.txt"] = "0" * 64
+    assert golden.check(changed) == ["life scene.txt"]
+    # A failed run differs whatever its digest: exit 2, a line on stderr.
+    assert golden.check({"updown --n 1": digests["updown --n 2"]}) == ["updown --n 1"]
