@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -153,13 +155,19 @@ def _mean(total: float, count: int) -> float:
 # hold 160 KB of words at once, one of 256 players 40 KB.
 _BLOCK_PLAYERS = 256
 
+# A flag byte whose draw's top byte equals the cut, settled from its bits.
+_MARK = 2
 
-def _draw_repetition(rng: random.Random, m: int, n: int,
-                     p: float) -> tuple[tuple[bool, ...], tuple[bool, ...], list[list[int]]]:
-    """One repetition's draws: `env = tuple(rand() < 0.5 for _ in range(m))`,
-    `initial` likewise for n players, then
-    `flips = [[j for j in range(m) if rand() < p] for _ in range(n)]`,
-    with `rand = rng.random`. Values and stream state equal that loop's.
+# The `struct` code of a little-endian lane of w bytes, for each lane width.
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _draw_repetition(rng: random.Random, m: int, n: int, p: float) -> tuple[bytes, bytes, bytes]:
+    """One repetition's draws as 0/1 bytes: `env = bytes(rand() < 0.5 for
+    _ in range(m))`, `initial` likewise for n players, then
+    `flags = bytes(rand() < p for _ in range(n * m))`, with
+    `rand = rng.random`. So `flags[j * m + i]` is 1 when player j flips
+    before meeting i. Values and stream state equal that loop's.
 
     The word rule, which `random.Random` does not document but CPython
     3.10-3.13 follow: `random()` reads two 32-bit words w1, w2 and
@@ -170,32 +178,30 @@ def _draw_repetition(rng: random.Random, m: int, n: int,
     0.5 exactly when that byte is below 128, and below p exactly when
     x < limit = ceil(p * 2**53). With c = (limit - 1) >> 45, a draw whose
     top byte is below c flips, one above c does not, and only one equal
-    to c (about 1 in 256) needs the whole of x. The flips are drawn in
+    to c (about 1 in 256) needs the whole of x. The flags are drawn in
     blocks of at most _BLOCK_PLAYERS players, each player's m draws in
-    turn, and `bytes.find` walks the bytes marked at most c.
-    tests/test_coop.py pins this function against the loop above.
+    turn: one `bytes.translate` of a block's top bytes gives 1 below c,
+    0 above it and _MARK at c, and `bytes.find` walks the marks, each
+    settled by `_draw_bits`. tests/test_coop.py pins this function
+    against the loop above.
     """
     getrandbits = rng.getrandbits
     heads = getrandbits(64 * (m + n)).to_bytes(8 * (m + n), "little")[3::8]
-    coins = [top < 128 for top in heads]
+    coins = heads.translate(bytes(top < 128 for top in range(256)))
     limit = math.ceil(p * 2.0 ** 53)
     c = (limit - 1) >> 45
-    marked = bytes(top <= c for top in range(256))
-    flips: list[list[int]] = []
+    cut = bytes(1 if top < c else _MARK if top == c else 0 for top in range(256))
+    blocks = []
     for first in range(0, n, _BLOCK_PLAYERS):
-        players = min(_BLOCK_PLAYERS, n - first)
-        words = getrandbits(64 * m * players).to_bytes(8 * m * players, "little")
-        tops = words[3::8]
-        marks = tops.translate(marked)
-        block: list[list[int]] = [[] for _ in range(players)]
-        i = marks.find(1)
+        draws = m * min(_BLOCK_PLAYERS, n - first)
+        words = getrandbits(64 * draws).to_bytes(8 * draws, "little")
+        block = bytearray(words[3::8].translate(cut))
+        i = block.find(_MARK)
         while i >= 0:
-            if tops[i] < c or _draw_bits(words, i) < limit:
-                player, meeting = divmod(i, m)
-                block[player].append(meeting)
-            i = marks.find(1, i + 1)
-        flips += block
-    return tuple(coins[:m]), tuple(coins[m:]), flips
+            block[i] = _draw_bits(words, i) < limit
+            i = block.find(_MARK, i + 1)
+        blocks.append(block)
+    return coins[:m], coins[m:], b"".join(blocks)
 
 
 def _draw_bits(words: bytes, i: int) -> int:
@@ -211,68 +217,80 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
 
     Draw order within a repetition: the m environment stances, then the n
     initial player stances, then per player (in index order) one flip
-    decision before each meeting. True encodes COOP in the inner loop.
+    decision before each meeting. 1 encodes COOP in the inner loop.
     Each stance is `rng.random() < 0.5` and each flip `rng.random() < p`,
-    read by `_draw_repetition` from blocks of the generator's raw words
-    under the word rule its docstring states.
+    read by `_draw_repetition` as 0/1 bytes from blocks of the
+    generator's raw words under the word rule its docstring states.
 
-    A player's flips are drawn as the list of meetings before which one
-    fired. Its stance is constant between flips, so its takes come from
-    per-stance prefix sums of the take table `gain = _gain(payoffs)`, the
-    one `meeting_payoff` reads, over the environment row, one difference
-    per run of meetings. Scoring draws nothing, so all n flip lists are
-    drawn before any is scored; the winner (the first maximum total), its
-    history and flag, and the non-contradictory count are then read off
-    the totals and the flip lists. Each repetition's four int tallies go
-    to one list that the report sums once.
+    Scoring draws nothing, so it walks the m meetings, not the players.
+    Every player's stance is one lane of a plain int, the narrowest of 1,
+    2, 4 or 8 bytes w with 256**w > m: it starts as the initial stances
+    and meeting i XORs in column i of the flags, `flags[i::m]`. The lanes
+    are added into kc at meetings against a cooperating member and into
+    kn at the others, so lane j of kc (kn) counts player j's coop
+    meetings against a cooperator (non-cooperator), and the OR of the
+    columns marks the players who ever flipped. From the take table `gain = _gain(payoffs)`,
+    the one `meeting_payoff` reads, a player's total is
+    `base + (cc - nc) * kc_j + (cn - nn) * kn_j`, with base the total of
+    a player who never cooperates, so totals are exact for any ints. The
+    winner (the first maximum total), its history and flag, and the
+    non-contradictory count are read off the totals, the lanes and the
+    flags. Each repetition's four int tallies go to one list that the
+    report sums once.
     """
     m = config.env_size
     n = config.population
     p = config.resolved_flip_probability()
-    gain = _gain(payoffs)
-    meetings = range(m)
+    (nn, nc), (cn, cc) = _gain(payoffs)
+    width = next(w for w in _LANE_CODES if m < 256 ** w)
+    lanes = f"<{n}{_LANE_CODES[width]}"
+    # n lanes of width bytes; each meeting writes its column into the low bytes.
+    spread = bytearray(n * width)
 
     results = []
     # Per repetition: (non-contradictory players, coop takes, coop meetings, all takes).
     tallies = []
     for r in range(config.repetitions):
-        env, initial, flips = _draw_repetition(substream(config.seed, r), m, n, p)
-        # banked[stance][j]: the takes of the first j meetings played in stance.
-        banked = tuple(tuple(itertools.accumulate((row[o] for o in env), initial=0))
-                       for row in gain)
+        env, initial, flags = _draw_repetition(substream(config.seed, r), m, n, p)
+        spread[::width] = initial
+        stance = int.from_bytes(spread, "little")
+        flipped = kc = kn = 0
+        for i, opponent in enumerate(env):
+            spread[::width] = flags[i::m]
+            column = int.from_bytes(spread, "little")
+            stance ^= column
+            flipped |= column
+            if opponent:
+                kc += stance
+            else:
+                kn += stance
+        kc = struct.unpack(lanes, kc.to_bytes(n * width, "little"))
+        kn = struct.unpack(lanes, kn.to_bytes(n * width, "little"))
 
-        totals: list[int] = []
-        rep_coop_sum = rep_coop_meetings = 0
-        for stance, player_flips in zip(initial, flips):
-            total = start = 0
-            for end in (*player_flips, m):
-                take = banked[stance][end] - banked[stance][start]
-                total += take
-                if stance:
-                    rep_coop_sum += take
-                    rep_coop_meetings += end - start
-                stance = not stance
-                start = end
-            totals.append(total)
-
+        env_coop = sum(env)
+        base = env_coop * nc + (m - env_coop) * nn
+        totals = [base + (cc - nc) * x + (cn - nn) * y for x, y in zip(kc, kn)]
         best = max(totals)
         winner_index = totals.index(best)
         winner_initial = initial[winner_index]
-        winner_flips = flips[winner_index]
-        noncontra = flips.count([])
+        winner_flags = flags[winner_index * m:(winner_index + 1) * m]
+        noncontra = n - flipped.bit_count()
+        kc_sum, kn_sum = sum(kc), sum(kn)
+        rep_coop_sum = cc * kc_sum + cn * kn_sum
+        rep_coop_meetings = kc_sum + kn_sum
         rep_sum = sum(totals)
-        # A player's stance at meeting j has flipped once per flip at or before j.
+        # A player's stance at meeting i is its initial one XOR its flags up to i.
+        history = itertools.accumulate(winner_flags, operator.xor, initial=winner_initial)
         winner = IndividualRecord(
             initial_stance=_BY_BOOL[winner_initial],
-            stance_history=tuple(_BY_BOOL[winner_initial ^ (sum(f <= j for f in winner_flips) % 2)]
-                                 for j in meetings),
+            stance_history=tuple(_BY_BOOL[s] for s in history)[1:],
             total_payoff=best,
-            contradictory=bool(winner_flips),
+            contradictory=any(winner_flags),
         )
         tallies.append((noncontra, rep_coop_sum, rep_coop_meetings, rep_sum))
         results.append(RepetitionResult(
             index=r,
-            env_coop_count=sum(env),
+            env_coop_count=env_coop,
             winner_index=winner_index,
             winner=winner,
             noncontradictory_fraction=noncontra / n,

@@ -36,12 +36,12 @@ def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
     before any draw, as `rng.choice(())` does. Single draws elsewhere in
     the package call `rng.randint` and `rng.choice` themselves, except
     coop's stances and flips and the theorem trials' labels:
-    `coop._draw_repetition` reads those `rng.random()` draws from blocks
-    of raw generator words, under the word rule its docstring states,
-    and tests/test_coop.py pins it; `WordReader` below reads each random
-    theorem trial's label draws and its termination coin from one block
-    of words, under the rule its docstring states, and
-    tests/test_seeds.py pins it.
+    `coop._draw_repetition` reads those `rng.random()` draws as 0/1
+    stance and flip-flag bytes from blocks of raw generator words, under
+    the word rule its docstring states, and tests/test_coop.py pins it;
+    `WordReader` below reads each random theorem trial's label draws and
+    its termination coin from one block of words, under the rule its
+    docstring states, and tests/test_seeds.py pins it.
 
     `market.run_market_experiment` restates the rule twice, for group
     A's committed trades and for group B's daily trade.

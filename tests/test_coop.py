@@ -3,9 +3,10 @@
 The replay test below re-executes the documented draw order with its own
 code to predict a full repetition, which pins both the stream layout and
 the payoff bookkeeping. `TestDrawRepetition` pins coop's word reader,
-which reads the stances and flips from blocks of raw generator words,
-against the `rng.random()` loop it replaces, values and stream state
-alike, so a CPython that changes the word rule fails here by name.
+which reads the stances and flip flags as 0/1 bytes from blocks of raw
+generator words, against the `rng.random()` loop it replaces, values
+and stream state alike, so a CPython that changes the word rule fails
+here by name.
 Statistical checks at publication scale live in test_acceptance.py.
 """
 
@@ -276,13 +277,17 @@ EXTREMES = [0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324]
 
 
 class TestDrawRepetition:
-    """`_draw_repetition` against `stdlib_draws`: the same values, and the
-    same next `random()` after them."""
+    """`_draw_repetition` against `stdlib_draws`: the same values, as
+    0/1 bytes with the flags player-major, and the same next `random()`
+    after them."""
 
     def check(self, m, n, p, key=None):
         key = key or f"{m}:{n}:{p!r}"
         ours, theirs = random.Random(key), random.Random(key)
-        assert _draw_repetition(ours, m, n, p) == stdlib_draws(theirs, m, n, p), key
+        env, initial, flips = stdlib_draws(theirs, m, n, p)
+        # The loop's draws as 0/1 bytes, the flags player-major.
+        flags = bytes(j in player_flips for player_flips in flips for j in range(m))
+        assert _draw_repetition(ours, m, n, p) == (bytes(env), bytes(initial), flags), key
         assert ours.random() == theirs.random(), key
 
     @pytest.mark.parametrize("m", [1, 20])

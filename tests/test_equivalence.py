@@ -53,8 +53,10 @@ only when the premises hold, never through the witness scan. With the
 threshold set to -1, which every episode exceeds, `lifelens theorem`
 must exit 1 and report the exhaustive plus the randomized violations of
 those checks.
-The coop experiment drawn as flip lists must give the same report as
-the one that walks every meeting.
+The coop experiment, which draws its flips as 0/1 flag bytes and scores
+them column by column, one lane per player, must give the same report
+as the one that walks every meeting, also where the lanes widen, at a
+block edge and with takes past 2**64.
 `victory_table`, which builds one DP row per prefix of an UP-first word
 and takes the DOWN-first half as the UP-first half reversed, must give
 each word, by its text, the count `victories_dp` gives it alone, and
@@ -543,11 +545,24 @@ class TestEpisodeGenerators:
 
 
 class TestCoop:
-    # The hand replay's two payoff matrices in tests/test_coop.py.
-    @pytest.mark.parametrize("payoffs", [PayoffMatrix(), PayoffMatrix(cc=5, cn=-3, nc=2, nn=1)],
-                             ids=["default", "custom"])
+    # The hand replay's two payoff matrices in tests/test_coop.py, and one
+    # whose takes pass 2**64, with a negative cn.
+    @pytest.mark.parametrize("payoffs", [
+        PayoffMatrix(), PayoffMatrix(cc=5, cn=-3, nc=2, nn=1),
+        PayoffMatrix(cc=2 ** 70 + 3, cn=-(2 ** 65) - 7, nc=2 ** 66, nn=-(2 ** 64))],
+        ids=["default", "custom", "huge"])
     @given(m=st.integers(1, 8), n=st.integers(1, 12), repetitions=st.integers(1, 3),
            p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
+    # Rows of 255, 256 and 300 meetings, where the lanes widen past a
+    # byte; 600 meetings with no flip, where a cooperator's count of
+    # coop meetings against cooperators passes 255; and 256 and 257
+    # players, at a block edge.
+    @example(m=255, n=5, repetitions=2, p=0.05, seed=1)
+    @example(m=256, n=5, repetitions=2, p=0.0, seed=2)
+    @example(m=300, n=5, repetitions=2, p=1.0, seed=3)
+    @example(m=600, n=6, repetitions=1, p=0.0, seed=2)
+    @example(m=3, n=256, repetitions=2, p=0.3, seed=5)
+    @example(m=3, n=257, repetitions=2, p=0.5, seed=6)
     def test_matches_the_meeting_walk(self, payoffs, m, n, repetitions, p, seed):
         config = CoopConfig(env_size=m, population=n, flip_probability=p,
                             repetitions=repetitions, seed=seed)
