@@ -92,7 +92,8 @@ class CoopConfig:
     def resolved_flip_probability(self) -> float:
         if self.flip_probability is None:
             return flip_probability_for_even_odds(self.env_size)
-        return self.flip_probability
+        # -0.0 + 0.0 is 0.0: a run at -0.0 is the run at 0 and reports 0.
+        return self.flip_probability + 0.0
 
 
 @dataclass(frozen=True)

@@ -202,9 +202,17 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     consumes it; tests/test_market.py pins this by replaying whole
     reports through `randint`.
 
-    Weeks are played on plain (cash, shares) ints, with the clamping
-    and the non-negativity check of `Portfolio`; `_run_week` with
-    `ConsistentPolicy` and `FreePolicy` is the reference path.
+    Weeks are played on capital, cash + shares * price, which a trade at
+    the day's price leaves unchanged. So the shares held after a trade
+    range over 0..capital // price: group B's draw is that holding (its
+    bound, shares + cash // price + 1, is capital // price + 1), and
+    group A's commitment is clamped into that range exactly when
+    `Portfolio`'s clamp bites. Overnight, capital moves by the holding
+    times the price change; the last day moves by 0, so final capital
+    is the capital after the last trade, whose draw still happens. The
+    non-negativity check of `Portfolio` stays, on the post-trade cash
+    `capital - shares * price`. `_run_week` with `ConsistentPolicy` and
+    `FreePolicy` is the reference path.
     """
     if tests < 1 or group_size < 1:
         raise ValueError("tests and group_size must be positive")
@@ -219,8 +227,10 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         getrandbits = rng.getrandbits
         dynamics = sample_dynamics(rng)
         path = dynamics.path(days)
-        week = [(price, PRICES.index(price)) for price in path]
-        last = path[-1]
+        # (price, its level in PRICES, the move to the next day's price).
+        week = [(price, PRICES.index(price), after - price)
+                for price, after in zip(path, path[1:] + path[-1:])]
+        start = START_CASH + START_SHARES * path[0]
         best_a = best_b = -1
         for _ in range(group_size):
             trades = []
@@ -229,38 +239,35 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
                 while r >= n:
                     r = getrandbits(k)
                 trades.append(r - START_SHARES)
-            cash, shares = START_CASH, START_SHARES
-            for price, level in week:
-                # The Portfolio clamp, by comparison: cash // price >= 0 >= -shares.
-                trade = trades[level]
-                if trade < -shares:
-                    trade = -shares
+            capital, shares = start, START_SHARES
+            for price, level, move in week:
+                # Shares after the trade, clamped as Portfolio clamps the trade.
+                shares += trades[level]
+                if shares < 0:
+                    shares = 0
                     clamped_total += 1
-                elif trade > cash // price:
-                    trade = cash // price
+                elif shares > capital // price:
+                    shares = capital // price
                     clamped_total += 1
-                cash -= trade * price
-                shares += trade
-                if cash < 0 or shares < 0:
-                    raise _went_negative(cash, shares)
-            if cash + shares * last > best_a:
-                best_a = cash + shares * last
+                if capital < shares * price:
+                    raise _went_negative(capital - shares * price, shares)
+                capital += shares * move
+            if capital > best_a:
+                best_a = capital
         for _ in range(group_size):
-            cash, shares = START_CASH, START_SHARES
-            for price in path:
-                # randint(-shares, cash // price): r in [0, n), minus shares.
-                n = shares + cash // price + 1
+            capital = start
+            for price, _, move in week:
+                # randint(-shares, cash // price) + shares: r in [0, n) shares held.
+                n = capital // price + 1
                 k = n.bit_length()
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
-                trade = r - shares
-                cash -= trade * price
-                shares += trade
-                if cash < 0 or shares < 0:
-                    raise _went_negative(cash, shares)
-            if cash + shares * last > best_b:
-                best_b = cash + shares * last
+                if capital < r * price:
+                    raise _went_negative(capital - r * price, r)
+                capital += r * move
+            if capital > best_b:
+                best_b = capital
         results.append(MarketTest(
             index=t,
             initial_price=dynamics.initial_price,

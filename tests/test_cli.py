@@ -228,6 +228,12 @@ class TestCoop:
         for ln in lines[1:]:
             assert len(ln.split(",")) == 7
 
+    def test_negative_zero_flip_probability_is_zero(self, capsys):
+        # The header once printed "flip probability -0.000000" here.
+        zero = run_cli(capsys, *self.ARGS, "--flip-probability", "0")
+        assert "flip probability 0.000000" in zero[1]
+        assert run_cli(capsys, *self.ARGS, "--flip-probability", "-0.0") == zero
+
 class TestMarket:
     ARGS = ("market", "--tests", "3", "--group-size", "5", "--seed", "4")
 

@@ -57,8 +57,8 @@ The coop experiment, which draws its flips as 0/1 flag bytes and scores
 them column by column, one lane per player, must give the same report
 as the one that walks every meeting, also where the lanes widen, at a
 block edge and with takes past 2**64.
-`victory_table`, which builds one DP row per prefix of an UP-first word
-and takes the DOWN-first half as the UP-first half reversed, must give
+`victory_table`, which builds one DP row per proper prefix of an
+UP-first word and takes the DOWN-first half as the UP-first half reversed, must give
 each word, by its text, the count `victories_dp` gives it alone, and
 the count of decks whose pattern it is.
 """
@@ -575,6 +575,9 @@ class TestCoop:
 class TestVictoryTable:
     @settings(deadline=None)
     @given(st.integers(2, 12))
+    @example(2)
+    @example(3)
+    @example(14)
     def test_matches_the_dp_per_word(self, n):
         assert victory_table(n) == [(str(s), victories_dp(s).wins) for s in all_strategies(n)]
 

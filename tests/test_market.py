@@ -240,6 +240,8 @@ class TestExperiment:
     # Group B draws here at 4, 5 and 6 bits, so a draw width fixed at 5 or
     # computed once per week would not replay.
     @example(seed=2, tests=4, group=12, days=30)
+    # A long week: capital compounds over many recurrences of each price.
+    @example(seed=5, tests=2, group=20, days=150)
     def test_whole_report_replayed_through_portfolios(self, seed, tests, group, days):
         """Every test and the clamp count, re-derived by `_run_week`.
 
