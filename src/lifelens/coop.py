@@ -170,16 +170,14 @@ def _draw_repetition(rng: random.Random, m: int, n: int, p: float) -> tuple[byte
     `rand = rng.random`. So `flags[j * m + i]` is 1 when player j flips
     before meeting i. Values and stream state equal that loop's.
 
-    The word rule, which `random.Random` does not document but CPython
-    3.10-3.13 follow: `random()` reads two 32-bit words w1, w2 and
-    returns x / 2**53 with x = (w1 >> 5) * 2**26 + (w2 >> 6), and
-    `getrandbits(64 * k)` returns the next 2k words, lowest first. So
-    in the little-endian bytes of such a block, draw i's w1 is bytes
-    8i..8i+3 and its top byte, x >> 45, is byte 8i + 3. A draw is below
-    0.5 exactly when that byte is below 128, and below p exactly when
-    x < limit = ceil(p * 2**53). With c = (limit - 1) >> 45, a draw whose
-    top byte is below c flips, one above c does not, and only one equal
-    to c (about 1 in 256) needs the whole of x. The flags are drawn in
+    By the `random()` and word-order rules of `seeds`' module docstring,
+    draw i of a `getrandbits(64 * k)` block reads its words 2i and
+    2i + 1 as w1 and w2, so in the block's little-endian bytes w1 is
+    bytes 8i..8i+3 and the top byte of x, x >> 45, is byte 8i + 3. A
+    draw is below 0.5 exactly when that byte is below 128, and below p
+    exactly when x < limit = ceil(p * 2**53). With c = (limit - 1) >>
+    45, a draw whose top byte is below c flips, one above c does not, and
+    only one equal to c (about 1 in 256) needs the whole of x. The flags are drawn in
     blocks of at most _BLOCK_PLAYERS players, each player's m draws in
     turn: one `bytes.translate` of a block's top bytes gives 1 below c,
     0 above it and _MARK at c, and `bytes.find` walks the marks, each
@@ -207,7 +205,7 @@ def _draw_repetition(rng: random.Random, m: int, n: int, p: float) -> tuple[byte
 
 def _draw_bits(words: bytes, i: int) -> int:
     """The 53 bits x of draw i in a little-endian block of words, as the
-    word rule in `_draw_repetition` states them."""
+    `random()` rule of `seeds`' module docstring states them."""
     w1 = int.from_bytes(words[8 * i:8 * i + 4], "little")
     w2 = int.from_bytes(words[8 * i + 4:8 * i + 8], "little")
     return (w1 >> 5) << 26 | w2 >> 6
@@ -221,7 +219,7 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     decision before each meeting. 1 encodes COOP in the inner loop.
     Each stance is `rng.random() < 0.5` and each flip `rng.random() < p`,
     read by `_draw_repetition` as 0/1 bytes from blocks of the
-    generator's raw words under the word rule its docstring states.
+    generator's raw words under the draw rules `seeds` states.
 
     Scoring draws nothing, so it walks the m meetings, not the players.
     Every player's stance is one lane of a plain int, the narrowest of 1,

@@ -196,9 +196,8 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     the three committed trades of `sample_consistent_policy`, then the
     week), then group B (per trader: one `randint(-shares, cash //
     price)` per day, as `FreePolicy` draws it). Bests are exact integer
-    maxima. Each draw applies the stdlib's `_randbelow` rule inline, as
-    `seeds.choices` states it: `r = getrandbits(n.bit_length())`, retried
-    while `r >= n`, so the stream is consumed exactly as `randint`
+    maxima. Each draw applies the `_randbelow` rule of `seeds`' module
+    docstring inline, so the stream is consumed exactly as `randint`
     consumes it; tests/test_market.py pins this by replaying whole
     reports through `randint`.
 

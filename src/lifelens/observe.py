@@ -21,7 +21,6 @@ contradictory.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -351,12 +350,13 @@ def format_perceived_trace(pt: PerceivedTrace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Episode generators used by the theorem checker (CLI) and the test suite
+# The theorem checker: every small episode, then randomized trials
 
 
 def _check_episode_args(ent_labels: Sequence[Label], env_labels: Sequence[Label],
                         max_len: int) -> None:
-    """The generators' one argument rule, checked before any draw."""
+    """The one argument rule of `iter_terminated_episodes` and
+    `run_theorem_check`, checked before any draw."""
     if not ent_labels or not env_labels:
         raise ValueError("both label alphabets must be nonempty")
     if any(e is ZERO for e in ent_labels):
@@ -387,50 +387,6 @@ def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[L
                     )
 
 
-def random_episode(rng: random.Random, ent_labels: Sequence[Label],
-                   env_labels: Sequence[Label], max_len: int) -> ObservedEpisode:
-    """A uniformly scrambled episode; terminated with probability 1/2.
-
-    Draw order: the lifetime `randint(1, max_len)`, then `choice(ent_labels)`
-    per step, then `choice(env_labels)` per step, then one `random()`; a
-    terminated episode ends with `choice(env_labels)` for the label after
-    its end.
-    """
-    _check_episode_args(ent_labels, env_labels, max_len)
-    length = rng.randint(1, max_len)
-    ents = choices(rng, ent_labels, length)
-    envs = choices(rng, env_labels, length)
-    if rng.random() < 0.5:
-        return ObservedEpisode(0, ents, envs, (ZERO, rng.choice(env_labels)), True)
-    return ObservedEpisode(0, ents, envs, None, False)
-
-
-def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label],
-                                 env_labels: Sequence[Label], max_len: int) -> ObservedEpisode:
-    """A terminated episode whose environment follows a fixed transition map.
-
-    The next environment label is a function of the current (entity,
-    environment) pair by construction, so is_deterministic_env returns
-    None for every episode generated here.
-
-    Draw order: the transition map, one `choice(env_labels)` per
-    (entity, environment) pair with the entity label outer; then the
-    lifetime `randint(1, max_len)`, then `choice(ent_labels)` per step,
-    then `choice(env_labels)` for the first environment label.
-    """
-    _check_episode_args(ent_labels, env_labels, max_len)
-    pairs = itertools.product(ent_labels, env_labels)
-    table = dict(zip(pairs, choices(rng, env_labels, len(ent_labels) * len(env_labels))))
-    length = rng.randint(1, max_len)
-    ents = choices(rng, ent_labels, length)
-    env = rng.choice(env_labels)
-    envs = []
-    for ent in ents:
-        envs.append(env)
-        env = table[(ent, env)]
-    return ObservedEpisode(0, ents, tuple(envs), (ZERO, env), True)
-
-
 @dataclass(frozen=True)
 class TheoremCheckReport:
     """Tallies from one theorem-checking sweep; violations must be zero."""
@@ -459,8 +415,8 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     Trial t draws from its own `substream(seed, t)`, which nothing reads
     after the trial. So `_random_trial` may read the trial's label draws
     from one block of raw generator words that overdraws the stream: the
-    values, and so the tallies, equal those of the stream-exact
-    generators, and only the discarded stream's final state differs.
+    values, and so the tallies, equal those of the sequential draws, and
+    only the discarded stream's final state differs.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -484,13 +440,21 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
 
 def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     """(premises_hold, violation) of `check_proposition` on one randomized
-    episode. Even trials get a deterministic environment by construction,
-    as `random_deterministic_episode` builds it, odd trials an arbitrary
-    one, as `random_episode` does.
+    episode over the first a entity and b environment labels. Even trials
+    get a deterministic environment by construction, a transition table
+    from each (entity, environment) pair to the next environment label;
+    odd trials an arbitrary one, terminated with probability 1/2.
 
-    Draw order: `randint(1, 5)` entity labels, `randint(1, 5)` environment
-    labels, then the episode's draws in its generator's order. The trial
-    makes the episode's table and lifetime draws itself, and reads its
+    Draw order: `randint(1, 5)` for a, `randint(1, 5)` for b, then
+    - even trials: the table, one `choice(env)` per (entity, environment)
+      pair with the entity outer, then the lifetime `randint(1, max_len)`,
+      then `choice(ent)` per step, then `choice(env)` for the first
+      environment label;
+    - odd trials: the lifetime `randint(1, max_len)`, then `choice(ent)`
+      per step, then `choice(env)` per step, then one `random()`, below
+      0.5 when terminated, then `choice(env)` for the label after the end
+      when terminated.
+    The trial makes the table and lifetime draws itself, and reads its
     label draws and termination coin through `seeds.WordReader` from one
     block of raw generator words. The trial's substream is private and
     discarded, so the block may overdraw: every value equals the

@@ -4,6 +4,26 @@ Every randomized routine in the package takes a seed and derives one
 independent stream per repetition / test / trial from it, so reports are
 bit-identical across runs and insensitive to how much randomness earlier
 repetitions consumed.
+
+Some samplers draw from a generator's raw 32-bit words instead of
+calling `choice`, `randint` or `random` once per draw, and give the same
+values. They rest on three rules that `random.Random` does not document
+but CPython 3.10-3.13 follow, stated here once:
+
+- the `_randbelow` rule: `choice(seq)` and `randint(a, b)` draw below
+  n = len(seq) or b - a + 1 as r = `getrandbits(n.bit_length())`,
+  retried while r >= n;
+- the `random()` rule: `random()` reads two words w1, w2 and returns
+  x / 2**53 with x = (w1 >> 5) * 2**26 + (w2 >> 6);
+- the word-order rule: `getrandbits(k)` for k <= 32 is the top k bits
+  of the next word, and `getrandbits(32 * N)` is the next N words,
+  lowest first.
+
+`choices` below and `market.run_market_experiment` apply the
+`_randbelow` rule, `WordReader` below all three, and
+`coop._draw_repetition` the last two. Each is pinned on the running
+interpreter against the stdlib draws it replaces: tests/test_seeds.py,
+tests/test_market.py's replay through `randint` and tests/test_coop.py.
 """
 
 from __future__ import annotations
@@ -28,26 +48,12 @@ def substream(seed: int, *path: int) -> random.Random:
 def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
     """`tuple(rng.choice(seq) for _ in range(count))`, drawn in one frame.
 
-    Each draw applies the stdlib's `_randbelow` rule on Python 3.10-3.13,
-    which `random.Random` does not document: with n = len(seq), take
-    k = n.bit_length() bits and retry while they reach n, so the values
-    and the stream state equal those of `rng.choice` while the loop calls
-    only `getrandbits`. An empty seq with count > 0 raises IndexError
-    before any draw, as `rng.choice(())` does. Single draws elsewhere in
-    the package call `rng.randint` and `rng.choice` themselves, except
-    coop's stances and flips and the theorem trials' labels:
-    `coop._draw_repetition` reads those `rng.random()` draws as 0/1
-    stance and flip-flag bytes from blocks of raw generator words, under
-    the word rule its docstring states, and tests/test_coop.py pins it;
-    `WordReader` below reads each random theorem trial's label draws and
-    its termination coin from one block of words, under the rule its
-    docstring states, and tests/test_seeds.py pins it.
-
-    `market.run_market_experiment` restates the rule twice, for group
-    A's committed trades and for group B's daily trade.
-    tests/test_seeds.py pins this function against `rng.choice`; the
-    market's replay through `randint`, by way of
-    `sample_consistent_policy` and `FreePolicy`, pins both market copies.
+    Each draw applies the `_randbelow` rule of the module docstring,
+    calling only `getrandbits`, so the values and the stream state equal
+    those of `rng.choice`. An empty seq with count > 0 raises IndexError
+    before any draw, as `rng.choice(())` does. Its one package caller is
+    the even theorem trials' transition table, in
+    `observe._random_trial`.
     """
     n = len(seq)
     if not n and count > 0:
@@ -85,17 +91,16 @@ class WordReader:
     """Draws below n <= 5 and coin flips, read from one block of a
     generator's raw 32-bit words.
 
-    The word rule, which `random.Random` does not document but CPython
-    3.10-3.13 follow: `rng.choice(seq)` with n = len(seq) takes the top
-    k = n.bit_length() bits of the next word and retries while they
-    reach n (the `_randbelow` rule `choices` restates), `rng.random() <
-    0.5` holds exactly when the top bit of the next word is clear and
-    takes one more word, and `getrandbits(32 * N)` returns the next N
-    words, lowest first. So for n <= 5, whose k is at most 3, a draw is
-    its word's top byte shifted right by 8 - k, rejected when it reaches
-    n, and a coin is "the top byte is below 128". A run of `count` draws
-    is one `bytes.translate` of the top bytes into draws, with the
-    rejected ones marked; the run ends where `count` unmarked bytes have
+    By the three rules of the module docstring, `rng.choice(seq)` with
+    n = len(seq) takes the top k = n.bit_length() bits of the next word
+    and retries while they reach n, `rng.random() < 0.5` holds exactly
+    when the top bit of the next word is clear and takes one more word,
+    and a block of N words is `getrandbits(32 * N)`, lowest first. So
+    for n <= 5, whose k is at most 3, a draw is its word's top byte
+    shifted right by 8 - k, rejected when it reaches n, and a coin is
+    "the top byte is below 128". A run of `count` draws is one
+    `bytes.translate` of the top bytes into draws, with the rejected
+    ones marked; the run ends where `count` unmarked bytes have
     been read, which `bytes.count` over the marks finds, and deleting
     the marks leaves the draws.
 

@@ -6,10 +6,11 @@ results: the set-based Life step and glider detection, the render that
 looks up every viewport cell (the render oracle for the one built on
 `ca.pack_rows`), the glider phases the scan looks for, stepped and
 normalised here, the episode generators built on `rng.choice` and
-`rng.randint`, and the coop experiment that walks every meeting. The
-small helpers these need, the generators' argument rule, the stance
-table and the NaN-guarded mean, are copied here too, so no oracle
-checks a rule with the code that states it. Nothing in the package
+`rng.randint`, which are the tests' episode source and replay each
+random theorem trial's draws, and the coop experiment that walks every
+meeting. The small helpers these need, the generators' argument rule,
+the stance table and the NaN-guarded mean, are copied here too, so no
+oracle checks a rule with the code that states it. Nothing in the package
 imports this module.
 """
 

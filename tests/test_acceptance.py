@@ -13,6 +13,7 @@ import sys
 from time import perf_counter
 
 from conftest import record_criterion
+from reference import random_deterministic_episode, random_episode
 
 from lifelens.ca import glider_block_scene, run
 from lifelens.coop import CoopConfig, run_coop_experiment
@@ -26,8 +27,6 @@ from lifelens.observe import (
     is_contradictory,
     is_deterministic_env,
     perceive_trace,
-    random_deterministic_episode,
-    random_episode,
     run_theorem_check,
 )
 from lifelens.seeds import DEFAULT_SEED, substream

@@ -3,7 +3,8 @@ the promise that the package needs nothing beyond the standard library
 at run time, a `CAState` that looks the same before and after its rows
 are memoised and before and after a stepped state's cells are unpacked,
 the module attributes a profiler rebinds, which the package must keep
-calling through, and `ca` as the one module that reads a state's bands.
+calling through, `ca` as the one module that reads a state's bands, and
+no top-level name that the package neither exports nor reads.
 
 A change to this list is a change to the public API, so it has to be
 made here on purpose.
@@ -244,3 +245,42 @@ def test_observe_reads_states_only_through_ca_public_names():
     assert [name for name in imported if name.startswith("_")] == []
     assert re.findall(r"\b(?:_bands|_packed|_layout)\b", source) == []
     assert lifelens.find_glider is ca.find_glider is observe.find_glider
+
+
+def unread_top_level_names() -> list[str]:
+    """Each top-level function, class and assignment target of the
+    package's modules, as `module.name`, that `lifelens/__init__.py`
+    does not export and no package code reads as a loaded name or an
+    attribute. A docstring that mentions a name does not read it, and
+    dunders are exempt."""
+    package = Path(lifelens.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if not (name.startswith("__") and name.endswith("__"))
+                       and name not in PUBLIC_NAMES and name not in read]
+    return unread
+
+
+def test_every_top_level_name_is_exported_or_read():
+    # A name that nothing exports and nothing in the package reads is
+    # dead code: the tests' oracles live in tests/reference.py.
+    assert unread_top_level_names() == []

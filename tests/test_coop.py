@@ -5,8 +5,8 @@ code to predict a full repetition, which pins both the stream layout and
 the payoff bookkeeping. `TestDrawRepetition` pins coop's word reader,
 which reads the stances and flip flags as 0/1 bytes from blocks of raw
 generator words, against the `rng.random()` loop it replaces, values
-and stream state alike, so a CPython that changes the word rule fails
-here by name.
+and stream state alike, so a CPython that changes the `random()` or the
+word-order rule of `seeds`' module docstring fails here by name.
 Statistical checks at publication scale live in test_acceptance.py.
 """
 

@@ -35,17 +35,13 @@ and bounding box. The cells such a state unpacks on the first read of
 way keeps its base left of every cell, bit 0 dead and every row int
 under 2**8, two gliders flying apart diagonally for 1,000 steps keep
 two bands of at most 16 bits a row and 8 rows each, and a 41-row ladder of blocks with a block
-4,000 columns to its right keeps every band at most 16 bits a row. The
-episode
-generators, which draw label runs through `seeds.choices` and single
-values through `rng.randint` and `rng.choice`, must give the same
-episode and leave the stream in the same state as their `rng.choice`
-versions. Each theorem trial, which reads its label draws from one
-block of raw generator words and tests the premises first on their
-codes, must give the `premises_hold` and `violation` that
-`check_proposition` gives on the episode a stdlib replay of its stream
-draws, at fixed and at drawn seeds, trials of both parities and
-lifetimes up to 1000, and `run_theorem_check` must tally the premise
+4,000 columns to its right keeps every band at most 16 bits a row.
+Each theorem trial, which reads its label draws from one block of raw
+generator words and tests the premises first on their codes, must give
+the `premises_hold` and `violation` that `check_proposition` gives on
+the episode reference.py's generators replay from its stream draws, at
+fixed and at drawn seeds, trials of both parities and lifetimes up to
+1000, and `run_theorem_check` must tally the premise
 cases and violations of those checks, also at max_len 1, where no
 premise holds. The trials must check an environment only when the
 episode terminated over its threshold, and check for a contradiction
@@ -94,8 +90,6 @@ from lifelens.observe import (
     glider_observer,
     iter_terminated_episodes,
     perceive_trace,
-    random_deterministic_episode,
-    random_episode,
 )
 from lifelens.seeds import DEFAULT_SEED, substream
 from lifelens.updown import all_strategies, deck_pattern, victories_dp, victory_table
@@ -457,19 +451,6 @@ def replayed_check(seed: int, trial: int, max_len: int) -> observe.PropositionCh
 
 
 class TestEpisodeGenerators:
-    @pytest.mark.parametrize("fast, slow", [
-        (random_episode, reference.random_episode),
-        (random_deterministic_episode, reference.random_deterministic_episode),
-    ], ids=["arbitrary", "deterministic"])
-    @given(seed=st.integers(0, 2 ** 64 - 1), ents=st.integers(1, 5), envs=st.integers(1, 5),
-           max_len=st.sampled_from([1, 2, 4, 5]) | st.integers(1, 300))
-    def test_matches_the_choice_version(self, fast, slow, seed, ents, envs, max_len):
-        ent_labels, env_labels = "ABCDE"[:ents], "VWXYZ"[:envs]
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert (fast(ours, ent_labels, env_labels, max_len)
-                == slow(theirs, ent_labels, env_labels, max_len))
-        assert ours.getstate() == theirs.getstate()
-
     @pytest.mark.parametrize("max_len", [1, 7, 200])
     @pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED])
     def test_theorem_trial_matches_a_stdlib_replay(self, seed, max_len):

@@ -12,6 +12,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import random_deterministic_episode, random_episode
 from lifelens.ca import BLOCK, CAState, GLIDER, glider_block_scene, run
 from lifelens.observe import (
     Observer,
@@ -32,8 +33,6 @@ from lifelens.observe import (
     is_deterministic_env,
     iter_terminated_episodes,
     perceive_trace,
-    random_deterministic_episode,
-    random_episode,
     run_theorem_check,
 )
 
@@ -294,8 +293,6 @@ class TestEpisodeGenerators:
     GENERATORS = {
         "iter_terminated_episodes":
             lambda rng, *args: next(iter_terminated_episodes(*args)),
-        "random_episode": random_episode,
-        "random_deterministic_episode": random_deterministic_episode,
     }
     BAD_ARGS = [
         ("max-len-0", ENTS, ENVS, 0, "max_len must be at least 1, got 0"),

@@ -1,16 +1,17 @@
 """Seed plumbing tests, and the samplers against the stdlib draws they
 reproduce.
 
-`choices` restates `random.Random`'s `_randbelow` rule, which is not a
-documented API. These tests compare it with repeated `choice` on the
-running interpreter, alone and interleaved with the `randint` and
-`choice` single draws the episode generators make, values and final
-stream state alike, so a CPython that changes the rule fails here by
-name before any golden digest moves. `WordReader` reads the same draws,
-and `random() < 0.5`, from blocks of raw words under the word rule its
-docstring states; its runs of draws below 1..5, and the coin and the
-choice after them, must equal `choice` and `random` on a twin generator,
-also when every block is too short and each run refills it.
+`choices` applies `random.Random`'s `_randbelow` rule, which is not a
+documented API; `seeds`' module docstring states it and the two other
+draw rules. These tests compare `choices` with repeated `choice` on the
+running interpreter, alone and interleaved with `randint` and `choice`
+single draws, values and final stream state alike, so a CPython that
+changes the rule fails here by name before any golden digest moves.
+`WordReader` reads the same draws, and `random() < 0.5`, from blocks of
+raw words under all three rules; its runs of draws below 1..5, and the
+coin and the choice after them, must equal `choice` and `random` on a
+twin generator, also when every block is too short and each run refills
+it.
 """
 
 import random
@@ -69,7 +70,7 @@ class TestChoices:
     @ALPHABET_SIZES
     @given(seeds, st.integers(1, 20), st.integers(1, 300))
     def test_interleaves_with_single_draws(self, size, seed, count, max_len):
-        # The generators' mix: a randint lifetime, label runs, one choice.
+        # A theorem trial's mix: a randint lifetime, label runs, one choice.
         seq = list(range(size))
         ours, theirs = random.Random(seed), random.Random(seed)
         got = (ours.randint(1, max_len), choices(ours, seq, count), ours.choice(seq),
