@@ -23,7 +23,8 @@ but CPython 3.10-3.13 follow, stated here once:
 `_randbelow` rule, `WordReader` below all three, and
 `coop._draw_repetition` the last two. Each is pinned on the running
 interpreter against the stdlib draws it replaces: tests/test_seeds.py,
-tests/test_market.py's replay through `randint` and tests/test_coop.py.
+tests/test_market.py's replay through `randint` and tests/test_coop.py;
+tests/test_seeds.py also pins each rule by itself.
 """
 
 from __future__ import annotations

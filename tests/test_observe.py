@@ -290,9 +290,13 @@ class TestProposition:
 
 
 class TestEpisodeGenerators:
+    # The package's enumerator and the reference generators that draw this
+    # file's random episodes: each checks its arguments before any draw.
     GENERATORS = {
         "iter_terminated_episodes":
             lambda rng, *args: next(iter_terminated_episodes(*args)),
+        "random_episode": random_episode,
+        "random_deterministic_episode": random_deterministic_episode,
     }
     BAD_ARGS = [
         ("max-len-0", ENTS, ENVS, 0, "max_len must be at least 1, got 0"),

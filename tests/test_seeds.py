@@ -3,8 +3,10 @@ reproduce.
 
 `choices` applies `random.Random`'s `_randbelow` rule, which is not a
 documented API; `seeds`' module docstring states it and the two other
-draw rules. These tests compare `choices` with repeated `choice` on the
-running interpreter, alone and interleaved with `randint` and `choice`
+draw rules. `TestDrawRules` pins each of the three by itself against
+the stdlib call it describes. These tests compare `choices` with
+repeated `choice` on the running interpreter, alone and interleaved
+with `randint` and `choice`
 single draws, values and final stream state alike, so a CPython that
 changes the rule fails here by name before any golden digest moves.
 `WordReader` reads the same draws, and `random() < 0.5`, from blocks of
@@ -45,6 +47,40 @@ def test_different_paths_diverge():
 
 def test_default_seed_is_fixed():
     assert DEFAULT_SEED == 271828
+
+
+class TestDrawRules:
+    """Each draw rule of `seeds`' module docstring by itself: a stdlib call
+    on one generator against the rule replayed from `getrandbits` on its
+    twin, values and final stream state alike."""
+
+    @given(seed=seeds, n=st.integers(1, 64) | st.integers(1, 2 ** 62))
+    def test_randbelow_rule(self, seed, n):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        k = n.bit_length()
+        replayed = []
+        for _ in range(2):
+            r = ours.getrandbits(k)
+            while r >= n:
+                r = ours.getrandbits(k)
+            replayed.append(r)
+        assert [theirs.choice(range(n)), theirs.randint(-3, n - 4) + 3] == replayed
+        assert ours.getstate() == theirs.getstate()
+
+    @given(seed=seeds)
+    def test_random_rule(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        w1, w2 = ours.getrandbits(32), ours.getrandbits(32)
+        assert theirs.random() == ((w1 >> 5) * 2 ** 26 + (w2 >> 6)) / 2 ** 53
+        assert ours.getstate() == theirs.getstate()
+
+    @given(seed=seeds, words=st.integers(1, 20), k=st.integers(1, 32))
+    def test_word_order_rule(self, seed, words, k):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        replayed = [ours.getrandbits(32) for _ in range(words)]
+        assert theirs.getrandbits(32 * words) == sum(w << 32 * i for i, w in enumerate(replayed))
+        assert theirs.getrandbits(k) == ours.getrandbits(32) >> (32 - k)
+        assert ours.getstate() == theirs.getstate()
 
 
 def repeated_choice(rng, seq, count):
