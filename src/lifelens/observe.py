@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .ca import Cell, CAState, Trace, find_glider
-from .seeds import WordReader, choices, label_words, substream
+from .seeds import WordReader, label_words, substream
 
 Label = Hashable
 """Perception labels are opaque; they only need equality and hashing."""
@@ -446,15 +446,17 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     odd trials an arbitrary one, terminated with probability 1/2.
 
     Draw order: `randint(1, 5)` for a, `randint(1, 5)` for b, then
-    - even trials: the table, one `choice(env)` per (entity, environment)
-      pair with the entity outer, then the lifetime `randint(1, max_len)`,
-      then `choice(ent)` per step, then `choice(env)` for the first
+    - even trials: the table, one `randrange(b)` per (entity,
+      environment) pair with the entity outer, each drawn as `choice(env)`
+      would be, then the lifetime `randint(1, max_len)`, then
+      `choice(ent)` per step, then `choice(env)` for the first
       environment label;
     - odd trials: the lifetime `randint(1, max_len)`, then `choice(ent)`
       per step, then `choice(env)` per step, then one `random()`, below
       0.5 when terminated, then `choice(env)` for the label after the end
       when terminated.
-    The trial makes the table and lifetime draws itself, and reads its
+    The trial makes the table and lifetime draws itself, through
+    `random.Random`'s own `randrange` and `randint`, and reads its
     label draws and termination coin through `seeds.WordReader` from one
     block of raw generator words. The trial's substream is private and
     discarded, so the block may overdraw: every value equals the
@@ -477,7 +479,7 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     threshold = contradiction_threshold(space)
     deterministic = trial % 2 == 0
     if deterministic:
-        table = choices(rng, range(b), a * b)
+        table = [rng.randrange(b) for _ in range(a * b)]
     length = rng.randint(1, max_len)
     if length - 1 <= threshold:
         return False, False

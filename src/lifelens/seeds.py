@@ -10,28 +10,27 @@ calling `choice`, `randint` or `random` once per draw, and give the same
 values. They rest on three rules that `random.Random` does not document
 but CPython 3.10-3.13 follow, stated here once:
 
-- the `_randbelow` rule: `choice(seq)` and `randint(a, b)` draw below
-  n = len(seq) or b - a + 1 as r = `getrandbits(n.bit_length())`,
-  retried while r >= n;
+- the `_randbelow` rule: `choice(seq)`, `randrange(n)` and
+  `randint(a, b)` draw below n = len(seq), n or b - a + 1 as
+  r = `getrandbits(n.bit_length())`, retried while r >= n;
 - the `random()` rule: `random()` reads two words w1, w2 and returns
   x / 2**53 with x = (w1 >> 5) * 2**26 + (w2 >> 6);
 - the word-order rule: `getrandbits(k)` for k <= 32 is the top k bits
   of the next word, and `getrandbits(32 * N)` is the next N words,
   lowest first.
 
-`choices` below and `market.run_market_experiment` apply the
-`_randbelow` rule, `WordReader` below all three, and
-`coop._draw_repetition` the last two. Each is pinned on the running
-interpreter against the stdlib draws it replaces: tests/test_seeds.py,
-tests/test_market.py's replay through `randint` and tests/test_coop.py;
-tests/test_seeds.py also pins each rule by itself.
+`market.run_market_experiment` applies the `_randbelow` rule inline,
+`WordReader` below all three, and `coop._draw_repetition` the last two.
+Each is pinned on the running interpreter against the stdlib draws it
+replaces: tests/test_market.py's replay through `randint`,
+tests/test_seeds.py and tests/test_coop.py; tests/test_seeds.py also
+pins each rule by itself.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
 
 DEFAULT_SEED = 271828
 
@@ -44,30 +43,6 @@ def substream(seed: int, *path: int) -> random.Random:
     """
     key = ":".join(str(part) for part in (seed, *path))
     return random.Random(key)
-
-
-def choices(rng: random.Random, seq: Sequence, count: int) -> tuple:
-    """`tuple(rng.choice(seq) for _ in range(count))`, drawn in one frame.
-
-    Each draw applies the `_randbelow` rule of the module docstring,
-    calling only `getrandbits`, so the values and the stream state equal
-    those of `rng.choice`. An empty seq with count > 0 raises IndexError
-    before any draw, as `rng.choice(())` does. Its one package caller is
-    the even theorem trials' transition table, in
-    `observe._random_trial`.
-    """
-    n = len(seq)
-    if not n and count > 0:
-        raise IndexError("Cannot choose from an empty sequence")
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-    drawn = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        drawn.append(seq[r])
-    return tuple(drawn)
 
 
 def label_words(n: int, count: int) -> int:

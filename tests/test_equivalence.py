@@ -48,7 +48,10 @@ episode terminated over its threshold, and check for a contradiction
 only when the premises hold, never through the witness scan. With the
 threshold set to -1, which every episode exceeds, `lifelens theorem`
 must exit 1 and report the exhaustive plus the randomized violations of
-those checks.
+those checks. Each trial's `randint` and `randrange` values, with an even
+trial's transition table among them, the stream state after its
+lifetime and the codes of the environment it checks must equal the
+stdlib replay's, on every pair of alphabet sizes and at drawn seeds.
 The coop experiment, which draws its flips as 0/1 flag bytes and scores
 them column by column, one lane per player, must give the same report
 as the one that walks every meeting, also where the lanes widen, at a
@@ -62,7 +65,7 @@ the count of decks whose pattern it is.
 import random
 import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import count, islice, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -436,8 +439,9 @@ class TestSoup:
         assert len(layouts) == len(trace)
 
 
-def replayed_check(seed: int, trial: int, max_len: int) -> observe.PropositionCheck:
-    """`check_proposition` on theorem trial `trial`'s episode, replayed
+def replayed_episode(seed: int, trial: int, max_len: int) -> tuple[observe.ObservedEpisode,
+                                                                  PerceptionSpace]:
+    """Theorem trial `trial`'s episode and perception space, replayed
     from the trial's documented draw order with the stdlib draws:
     randint(1, 5) labels per alphabet, then the reference generators'
     episode, deterministic on even trials."""
@@ -447,7 +451,12 @@ def replayed_check(seed: int, trial: int, max_len: int) -> observe.PropositionCh
     generate = (reference.random_deterministic_episode if trial % 2 == 0
                 else reference.random_episode)
     ep = generate(rng, ents, envs, max_len)
-    return check_proposition(ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs)))
+    return ep, PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
+
+
+def replayed_check(seed: int, trial: int, max_len: int) -> observe.PropositionCheck:
+    """`check_proposition` on theorem trial `trial`'s replayed episode."""
+    return check_proposition(*replayed_episode(seed, trial, max_len))
 
 
 class TestEpisodeGenerators:
@@ -523,6 +532,86 @@ class TestEpisodeGenerators:
         assert (exhaustive, randomized) == (8, 21)
         report = observe.run_theorem_check(200, DEFAULT_SEED, 20)
         assert report.violations == exhaustive + randomized
+
+
+class Recorded(random.Random):
+    """A twin of `rng` that logs each `randrange` value, `randint`'s
+    included, which CPython 3.10-3.13 draw through `randrange`, and keeps
+    the stream state after the last."""
+
+    def __init__(self, rng: random.Random):
+        super().__init__()
+        self.setstate(rng.getstate())
+        self.drawn = []
+
+    def randrange(self, *args):
+        self.drawn.append(super().randrange(*args))
+        self.state = self.getstate()
+        return self.drawn[-1]
+
+
+def recorded_draws(seed: int, trial: int, max_len: int) -> tuple[list, tuple, tuple | None]:
+    """The values theorem trial `trial` draws through `randint` and
+    `randrange`, in order, the stream state after the last, and the pair
+    and successor codes of the environment it checks, or None if it
+    checks none."""
+    with pytest.MonkeyPatch.context() as patch:
+        rngs, checked = [], []
+        determines = observe._determines
+        patch.setattr(observe, "substream",
+                      lambda *path: rngs.append(Recorded(substream(*path))) or rngs[-1])
+        patch.setattr(observe, "_determines", lambda pairs, successors:
+                      checked.append((pairs, successors)) or determines(pairs, successors))
+        observe._random_trial(seed, trial, max_len)
+    (rng,) = rngs
+    return rng.drawn, rng.state, checked[0] if checked else None
+
+
+def replayed_draws(seed: int, trial: int, max_len: int) -> tuple[list, tuple, tuple | None]:
+    """`recorded_draws` replayed with the stdlib draws: a, b, on even
+    trials the table as `reference.random_deterministic_episode` draws
+    it, one `choice(env)` per (entity, environment) pair, then the
+    lifetime; the stream state after them; and the codes of the replayed
+    episode's environment when it terminated over its threshold."""
+    rng = substream(seed, trial)
+    a, b = rng.randint(1, 5), rng.randint(1, 5)
+    table = [rng.choice(range(b)) for _ in range(a * b)] if trial % 2 == 0 else []
+    drawn = [a, b, *table, rng.randint(1, max_len)]
+    ep, space = replayed_episode(seed, trial, max_len)
+    check = check_proposition(ep, space)
+    if not (check.terminated and check.exceeds_threshold):
+        return drawn, rng.getstate(), None
+    ents, envs = "ABCDE"[:a], "VWXYZ"[:b]
+    codes = [envs.index(v) for v in ep.env_states + ep.next_pair_after_end[1:]]
+    pairs = bytes(ents.index(e) * 5 + v for e, v in zip(ep.ent_states, codes))
+    return drawn, rng.getstate(), (pairs, bytes(codes[1:]))
+
+
+def trial_sizes(seed: int, trial: int) -> tuple[int, int]:
+    rng = substream(seed, trial)
+    return rng.randint(1, 5), rng.randint(1, 5)
+
+
+class TestTransitionTable:
+    # The even trials draw their table with `randrange(b)`, the reference
+    # generator with `choice(env)`: both take the `_randbelow` rule of
+    # `seeds`' module docstring, so the values, the stream state after
+    # the lifetime and the environment the table drives must match.
+    @pytest.mark.parametrize("b", range(1, 6))
+    @pytest.mark.parametrize("a", range(1, 6))
+    def test_equals_repeated_choice_on_alphabet_sizes(self, a, b):
+        sized = (t for t in count(0, 2) if trial_sizes(DEFAULT_SEED, t) == (a, b))
+        for trial in islice(sized, 8):
+            assert recorded_draws(DEFAULT_SEED, trial, 200) == replayed_draws(DEFAULT_SEED,
+                                                                              trial, 200)
+
+    # Odd trials draw no table: their lifetime follows b.
+    @example(seed=DEFAULT_SEED, trial=0, max_len=1)
+    @example(seed=DEFAULT_SEED, trial=1, max_len=1000)
+    @given(seed=st.integers(0, 2 ** 64 - 1), trial=st.integers(0, 10 ** 6),
+           max_len=st.integers(1, 1000))
+    def test_equals_repeated_choice_at_drawn_seeds(self, seed, trial, max_len):
+        assert recorded_draws(seed, trial, max_len) == replayed_draws(seed, trial, max_len)
 
 
 class TestCoop:

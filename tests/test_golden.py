@@ -7,20 +7,18 @@ before the Life step and the glider detection were rewritten for speed,
 and each later one before the code behind it was rewritten. A digest
 must never change. To check a new run, add its digest from a run of the
 code whose output is meant to be the reference; never update a digest
-to make a changed output pass. tools/golden.py, which runs the same
-commands on any interpreter without pytest, supplies the pattern files
-the `life` runs read.
+to make a changed output pass. Each run goes through tools/golden.py's
+`run`, the same runner that checks the goldens on any interpreter
+without pytest, which writes the pattern files the `life` runs read.
 """
 
 import importlib.util
 import json
-from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
 from lifelens.ca import parse_pattern, render_pattern
-from lifelens.cli import main
 from lifelens.seeds import DEFAULT_SEED
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
@@ -36,13 +34,8 @@ BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN))
-def test_stdout_matches_the_frozen_digest(label, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    golden.write_patterns(label, tmp_path)
-    code = main(label.split())
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    assert sha256(out.encode()).hexdigest() == GOLDEN[label]
+def test_stdout_matches_the_frozen_digest(label):
+    assert golden.run(label) == (0, GOLDEN[label], "")
 
 
 def test_the_cut_input_lays_out_as_a_column_cut():

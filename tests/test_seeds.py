@@ -1,19 +1,15 @@
 """Seed plumbing tests, and the samplers against the stdlib draws they
 reproduce.
 
-`choices` applies `random.Random`'s `_randbelow` rule, which is not a
-documented API; `seeds`' module docstring states it and the two other
-draw rules. `TestDrawRules` pins each of the three by itself against
-the stdlib call it describes. These tests compare `choices` with
-repeated `choice` on the running interpreter, alone and interleaved
-with `randint` and `choice`
-single draws, values and final stream state alike, so a CPython that
-changes the rule fails here by name before any golden digest moves.
-`WordReader` reads the same draws, and `random() < 0.5`, from blocks of
-raw words under all three rules; its runs of draws below 1..5, and the
-coin and the choice after them, must equal `choice` and `random` on a
-twin generator, also when every block is too short and each run refills
-it.
+`seeds`' module docstring states three draw rules that `random.Random`
+follows but does not document. `TestDrawRules` pins each by itself
+against the stdlib calls it describes, values and final stream state
+alike, so a CPython that changes a rule fails here by name before any
+golden digest moves. `WordReader` reads draws below 1..5, and
+`random() < 0.5`, from blocks of raw words under all three rules; its
+runs of draws, and the coin and the choice after them, must equal
+`choice` and `random` on a twin generator, also when every block is too
+short and each run refills it.
 """
 
 import random
@@ -22,12 +18,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lifelens import seeds as seeds_module
-from lifelens.seeds import DEFAULT_SEED, WordReader, choices, substream
+from lifelens.seeds import DEFAULT_SEED, WordReader, substream
 
 seeds = st.integers(0, 2 ** 64 - 1)
-# The episode alphabets' sizes. Each rejects some of its draws of
-# k = n.bit_length() bits: 1, 2 and 4, the powers of two, reject half.
-ALPHABET_SIZES = pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 
 
 def test_equal_paths_give_equal_streams():
@@ -59,12 +52,13 @@ class TestDrawRules:
         ours, theirs = random.Random(seed), random.Random(seed)
         k = n.bit_length()
         replayed = []
-        for _ in range(2):
+        for _ in range(3):
             r = ours.getrandbits(k)
             while r >= n:
                 r = ours.getrandbits(k)
             replayed.append(r)
-        assert [theirs.choice(range(n)), theirs.randint(-3, n - 4) + 3] == replayed
+        assert [theirs.choice(range(n)), theirs.randrange(n),
+                theirs.randint(-3, n - 4) + 3] == replayed
         assert ours.getstate() == theirs.getstate()
 
     @given(seed=seeds)
@@ -81,57 +75,6 @@ class TestDrawRules:
         assert theirs.getrandbits(32 * words) == sum(w << 32 * i for i, w in enumerate(replayed))
         assert theirs.getrandbits(k) == ours.getrandbits(32) >> (32 - k)
         assert ours.getstate() == theirs.getstate()
-
-
-def repeated_choice(rng, seq, count):
-    return tuple(rng.choice(seq) for _ in range(count))
-
-
-class TestChoices:
-    @ALPHABET_SIZES
-    @given(seeds, st.integers(0, 60))
-    def test_equals_repeated_choice_on_alphabet_sizes(self, size, seed, count):
-        seq = tuple(f"L{i}" for i in range(size))
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert choices(ours, seq, count) == repeated_choice(theirs, seq, count)
-        assert ours.getstate() == theirs.getstate()
-
-    @given(seeds, st.integers(1, 300), st.integers(0, 60))
-    def test_equals_repeated_choice(self, seed, size, count):
-        seq = range(size)
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert choices(ours, seq, count) == repeated_choice(theirs, seq, count)
-        assert ours.getstate() == theirs.getstate()
-
-    @ALPHABET_SIZES
-    @given(seeds, st.integers(1, 20), st.integers(1, 300))
-    def test_interleaves_with_single_draws(self, size, seed, count, max_len):
-        # A theorem trial's mix: a randint lifetime, label runs, one choice.
-        seq = list(range(size))
-        ours, theirs = random.Random(seed), random.Random(seed)
-        got = (ours.randint(1, max_len), choices(ours, seq, count), ours.choice(seq),
-               choices(ours, seq, count))
-        want = (theirs.randint(1, max_len), repeated_choice(theirs, seq, count),
-                theirs.choice(seq), repeated_choice(theirs, seq, count))
-        assert got == want
-        assert ours.getstate() == theirs.getstate()
-
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_empty_sequence_raises_before_any_draw(self, count):
-        # A generator that fails on any draw, so a choices that loops
-        # on getrandbits(0) fails here instead of hanging.
-        class NoDraws(random.Random):
-            def getrandbits(self, k):
-                raise AssertionError(f"drew getrandbits({k})")
-
-        rng = NoDraws(DEFAULT_SEED)
-        state = rng.getstate()
-        with pytest.raises(IndexError):
-            random.Random(DEFAULT_SEED).choice(())
-        with pytest.raises(IndexError):
-            choices(rng, (), count)
-        assert choices(rng, (), 0) == ()
-        assert rng.getstate() == state
 
 
 class TestWordReader:

@@ -6,9 +6,9 @@ tool runs every labelled command through `lifelens.cli.main` in a fresh
 temporary directory, with the pattern files the command reads written
 there, and prints the label of each run whose exit code is not 0, whose
 stderr is not empty or whose stdout digest differs. It exits 1 when one
-does, else 0. tests/test_golden.py reads the same file and builds the
-same pattern files from here. Uses only the standard library, so it runs
-on any interpreter the package supports:
+does, else 0. tests/test_golden.py runs each golden through `run` here.
+Uses only the standard library, so it runs on any interpreter the
+package supports:
 
     python tools/golden.py
 """
