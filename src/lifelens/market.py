@@ -194,12 +194,19 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
 
     Draw order within a test: the dynamics, then group A (per trader:
     the three committed trades of `sample_consistent_policy`, then the
-    week), then group B (per trader: one `randint(-shares, cash //
-    price)` per day, as `FreePolicy` draws it). Bests are exact integer
-    maxima. Each draw applies the `_randbelow` rule of `seeds`' module
-    docstring inline, so the stream is consumed exactly as `randint`
-    consumes it; tests/test_market.py pins this by replaying whole
-    reports through `randint`.
+    week), then group B, unless every move of the week is 0 (per trader:
+    one `randint(-shares, cash // price)` per day, as `FreePolicy` draws
+    it). Bests are exact integer maxima. In a still week, whose start
+    price maps to itself or which has one day, no trade changes any
+    capital, so group B's best is the start capital. Its draws would be
+    the last of the test's own substream, which nothing reads after the
+    test, so skipping them changes no drawn value and no value's place:
+    only the discarded stream's state differs, the rule
+    `run_theorem_check` documents for its random trials. Each draw
+    applies the `_randbelow` rule of `seeds`' module docstring inline,
+    so the stream is consumed exactly as `randint` consumes it;
+    tests/test_market.py pins this by replaying whole reports through
+    `randint`.
 
     Weeks are played on capital, cash + shares * price, which a trade at
     the day's price leaves unchanged. So the shares held after a trade
@@ -253,20 +260,23 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
                 capital += shares * move
             if capital > best_a:
                 best_a = capital
-        for _ in range(group_size):
-            capital = start
-            for price, _, move in week:
-                # randint(-shares, cash // price) + shares: r in [0, n) shares held.
-                n = capital // price + 1
-                k = n.bit_length()
-                r = getrandbits(k)
-                while r >= n:
+        if not any(move for _, _, move in week):
+            best_b = start   # a still week: group B draws nothing
+        else:
+            for _ in range(group_size):
+                capital = start
+                for price, _, move in week:
+                    # randint(-shares, cash // price) + shares: r in [0, n) shares held.
+                    n = capital // price + 1
+                    k = n.bit_length()
                     r = getrandbits(k)
-                if capital < r * price:
-                    raise _went_negative(capital - r * price, r)
-                capital += r * move
-            if capital > best_b:
-                best_b = capital
+                    while r >= n:
+                        r = getrandbits(k)
+                    if capital < r * price:
+                        raise _went_negative(capital - r * price, r)
+                    capital += r * move
+                if capital > best_b:
+                    best_b = capital
         results.append(MarketTest(
             index=t,
             initial_price=dynamics.initial_price,

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lifelens import market
 from lifelens.market import (
     ConsistentPolicy,
     DAYS_PER_WEEK,
@@ -233,6 +234,40 @@ class TestExperiment:
         assert t0.transition_digits == dynamics.digits
         assert t0.best_consistent == best_a
         assert t0.best_free == best_b
+
+    # Seed 2's test 0 and seed 5's test 1 are still; a one-day week
+    # always is.
+    @pytest.mark.parametrize("seed, tests, days, still", [
+        (2, 4, 7, [0]), (5, 2, 7, [1]), (2, 4, 1, [0, 1, 2, 3]),
+    ], ids=["seed-2", "seed-5", "one-day"])
+    def test_still_weeks_draw_nothing_for_group_b(self, monkeypatch, seed, tests, days, still):
+        """A week whose every move is 0 leaves group B's best at the
+        start capital, so group B draws nothing there: each test's
+        stream ends after the dynamics, group A's commitments and, for a
+        moving week only, group B's weeks drawn through `randint`."""
+        streams = []
+
+        def recorded(seed, index):
+            streams.append(substream(seed, index))
+            return streams[-1]
+
+        monkeypatch.setattr(market, "substream", recorded)
+        group = 5
+        run_market_experiment(tests=tests, group_size=group, days=days, seed=seed)
+        assert len(streams) == tests
+        seen_still = []
+        for t, rng in enumerate(streams):
+            twin = substream(seed, t)
+            path = sample_dynamics(twin).path(days)
+            for _ in range(group):
+                sample_consistent_policy(twin)
+            if len(set(path)) == 1:
+                seen_still.append(t)
+            else:
+                for _ in range(group):
+                    _run_week(path, FreePolicy(), twin)
+            assert rng.getstate() == twin.getstate(), t
+        assert seen_still == still
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12),
