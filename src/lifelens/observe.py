@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .ca import Cell, CAState, Trace, find_glider
-from .seeds import WordReader, label_words, substream
+from .seeds import WordReader, substream
 
 Label = Hashable
 """Perception labels are opaque; they only need equality and hashing."""
@@ -353,18 +353,6 @@ def format_perceived_trace(pt: PerceivedTrace) -> str:
 # The theorem checker: every small episode, then randomized trials
 
 
-def _check_episode_args(ent_labels: Sequence[Label], env_labels: Sequence[Label],
-                        max_len: int) -> None:
-    """The one argument rule of `iter_terminated_episodes` and
-    `run_theorem_check`, checked before any draw."""
-    if not ent_labels or not env_labels:
-        raise ValueError("both label alphabets must be nonempty")
-    if any(e is ZERO for e in ent_labels):
-        raise ValueError("ent_labels must not include ZERO")
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-
-
 def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[Label],
                              max_len: int) -> Iterator[ObservedEpisode]:
     """Every terminated episode over the given alphabets, lifetimes 1..max_len.
@@ -373,7 +361,6 @@ def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[L
     contents directly, which covers every terminated episode extractable
     from any trace over the same alphabets.
     """
-    _check_episode_args(ent_labels, env_labels, max_len)
     for length in range(1, max_len + 1):
         for ents in itertools.product(ent_labels, repeat=length):
             for envs in itertools.product(env_labels, repeat=length):
@@ -414,13 +401,15 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
 
     Trial t draws from its own `substream(seed, t)`, which nothing reads
     after the trial. So `_random_trial` may read the trial's label draws
-    from one block of raw generator words that overdraws the stream: the
-    values, and so the tallies, equal those of the sequential draws, and
-    only the discarded stream's final state differs.
+    from blocks of raw generator words that `seeds.WordReader` sizes as
+    it reads, and that overdraw the stream: the values, and so the
+    tallies, equal those of the sequential draws, and only the discarded
+    stream's final state differs.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    _check_episode_args(_ENT_ALPHABET, _ENV_ALPHABET, max_len)
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     ents, envs = ("A",), ("X", "Y")
     space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
     checks = map(check_proposition, iter_terminated_episodes(ents, envs, max_len=10),
@@ -457,10 +446,11 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
       when terminated.
     The trial makes the table and lifetime draws itself, through
     `random.Random`'s own `randrange` and `randint`, and reads its
-    label draws and termination coin through `seeds.WordReader` from one
-    block of raw generator words. The trial's substream is private and
-    discarded, so the block may overdraw: every value equals the
-    sequential draw's, and only the stream state after the trial differs.
+    label draws and termination coin through `seeds.WordReader`, from
+    blocks of raw generator words that the reader sizes as it reads. The
+    trial's substream is private and discarded, so the blocks may
+    overdraw: every value equals the sequential draw's, and only the
+    stream state after the trial differs.
 
     The episode is never built. Label number i of an alphabet is code i,
     a moment's pair is e * 5 + v, and ZERO, the entity after the end, is
@@ -483,18 +473,15 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     length = rng.randint(1, max_len)
     if length - 1 <= threshold:
         return False, False
+    words = WordReader(rng)
+    ents = words.choices(a, length)
     if deterministic:
-        words = WordReader(rng, label_words(a, length) + label_words(b, 1))
-        ents = words.choices(a, length)
         env = words.choices(b, 1)[0]
         envs = bytearray()
         for e in ents:
             envs.append(env)
             env = table[e * b + env]
     else:
-        words = WordReader(rng, label_words(a, length) + label_words(b, length) + 2
-                           + label_words(b, 1))
-        ents = words.choices(a, length)
         envs = words.choices(b, length)
         if not words.coin():
             return False, False

@@ -48,8 +48,9 @@ def substream(seed: int, *path: int) -> random.Random:
 def label_words(n: int, count: int) -> int:
     """The words `WordReader` draws for `count` draws below n: their mean,
     2**k / n words a draw with k = n.bit_length(), plus its square root,
-    about one standard deviation, and 4. A block that runs short is
-    refilled, so this sizes blocks and decides no value."""
+    about one standard deviation, and 4. The reader draws a block of this
+    size whenever a run would read past the words it holds, so this
+    sizes blocks and decides no value."""
     mean = (count << n.bit_length()) // n
     return mean + math.isqrt(mean) + 4
 
@@ -64,8 +65,8 @@ _CODES = {n: bytes(top >> (8 - n.bit_length()) if top >> (8 - n.bit_length()) < 
 
 
 class WordReader:
-    """Draws below n <= 5 and coin flips, read from one block of a
-    generator's raw 32-bit words.
+    """Draws below n <= 5 and coin flips, read from blocks of a
+    generator's raw 32-bit words that the reader sizes as it reads.
 
     By the three rules of the module docstring, `rng.choice(seq)` with
     n = len(seq) takes the top k = n.bit_length() bits of the next word
@@ -80,22 +81,22 @@ class WordReader:
     been read, which `bytes.count` over the marks finds, and deleting
     the marks leaves the draws.
 
-    The reader draws `words` words up front, and a further block, sized
-    by `label_words`, whenever a run would read past the end. So every
-    value it returns equals the sequential draw's, but the generator
-    ends up to a block ahead of where those draws would leave it: use it
-    only on a stream that nothing draws from afterwards, such as one
-    theorem trial's `substream`. tests/test_seeds.py pins it against
-    `rng.choice` and `rng.random` on a twin generator, refills included.
+    The reader draws nothing when it is built. It draws a block, sized by
+    `label_words`, whenever a run would read past the words it holds, and
+    two words when a coin would. So every value it returns equals the
+    sequential draw's, but the generator ends up to a block ahead of
+    where those draws would leave it: use it only on a stream that
+    nothing draws from afterwards, such as one theorem trial's
+    `substream`. tests/test_seeds.py pins it against `rng.choice` and
+    `rng.random` on a twin generator, refills included.
     """
 
     __slots__ = ("_rng", "_tops", "_pos")
 
-    def __init__(self, rng: random.Random, words: int):
+    def __init__(self, rng: random.Random):
         self._rng = rng
         self._tops = b""
         self._pos = 0
-        self._draw(words)
 
     def _draw(self, words: int) -> None:
         """Append the top bytes of the next `words` words."""
@@ -108,7 +109,7 @@ class WordReader:
         missing = count
         while missing:
             if len(codes) < end + missing:
-                self._draw(max(label_words(n, missing), missing))
+                self._draw(label_words(n, missing))
                 codes = self._tops.translate(_CODES[n])
             missing, end = codes.count(_REJECTED, end, end + missing), end + missing
         self._pos = end

@@ -36,8 +36,9 @@ way keeps its base left of every cell, bit 0 dead and every row int
 under 2**8, two gliders flying apart diagonally for 1,000 steps keep
 two bands of at most 16 bits a row and 8 rows each, and a 41-row ladder of blocks with a block
 4,000 columns to its right keeps every band at most 16 bits a row.
-Each theorem trial, which reads its label draws from one block of raw
-generator words and tests the premises first on their codes, must give
+Each theorem trial, which reads its label draws from blocks of raw
+generator words that `seeds.WordReader` sizes as it reads, and tests
+the premises first on their codes, must give
 the `premises_hold` and `violation` that `check_proposition` gives on
 the episode reference.py's generators replay from its stream draws, at
 fixed and at drawn seeds, trials of both parities and lifetimes up to

@@ -290,11 +290,9 @@ class TestProposition:
 
 
 class TestEpisodeGenerators:
-    # The package's enumerator and the reference generators that draw this
-    # file's random episodes: each checks its arguments before any draw.
+    # The reference generators that draw this file's random episodes: each
+    # checks its arguments before any draw.
     GENERATORS = {
-        "iter_terminated_episodes":
-            lambda rng, *args: next(iter_terminated_episodes(*args)),
         "random_episode": random_episode,
         "random_deterministic_episode": random_deterministic_episode,
     }
@@ -323,7 +321,8 @@ class TestTheoremCheck:
         (-1, 200, "trials must be non-negative, got -1"),
         (0, 0, "max_len must be at least 1, got 0"),
         (2, 0, "max_len must be at least 1, got 0"),
-    ], ids=["-1-200", "0-0", "2-0"])
+        (0, -1, "max_len must be at least 1, got -1"),
+    ], ids=["-1-200", "0-0", "2-0", "0--1"])
     def test_rejects_bad_arguments(self, trials, max_len, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_theorem_check(trials=trials, seed=1, max_len=max_len)

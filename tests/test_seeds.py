@@ -78,8 +78,9 @@ class TestDrawRules:
 
 
 class TestWordReader:
-    # With refill, the size estimate is 0: the first block is empty, and
-    # every run and coin draws the words it lacks as it goes.
+    # With refill, the size estimate is the draws a run still lacks, the
+    # least that makes progress: every run draws block after block as
+    # its rejections come in.
     @pytest.mark.parametrize("refill", [False, True], ids=["estimated", "refilled"])
     @given(seed=seeds, runs=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 300)),
                                       min_size=1, max_size=3), last=st.integers(1, 5))
@@ -87,8 +88,9 @@ class TestWordReader:
         ours, theirs = random.Random(seed), random.Random(seed)
         with pytest.MonkeyPatch.context() as patch:
             if refill:
-                patch.setattr(seeds_module, "label_words", lambda n, count: 0)
-            words = WordReader(ours, sum(seeds_module.label_words(n, count) for n, count in runs))
+                patch.setattr(seeds_module, "label_words", lambda n, count: count)
+            words = WordReader(ours)
+            assert ours.getstate() == theirs.getstate()
             got = [(words.choices(n, count), words.coin()) for n, count in runs]
             got.append(words.choices(last, 1)[0])
         want = [(bytes(theirs.choice(range(n)) for _ in range(count)), theirs.random() < 0.5)
