@@ -15,7 +15,11 @@ label.
 The pigeonhole consequence checked by `check_proposition`: a terminated
 episode in a deterministic environment whose intelligence exceeds the
 number of (entity label, environment label) combinations must be
-contradictory.
+contradictory. `run_theorem_check`, the path of `lifelens theorem`, builds
+no episode: its exhaustive sweep and its randomized trials send each
+episode's label codes to one judge, `_judge`. `check_proposition`, which
+also reports both witnesses, is the tests' oracle for that judge, not the
+CLI's path.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable
 
 from .ca import Cell, CAState, Trace, find_glider
 from .seeds import WordReader, substream
@@ -353,27 +357,6 @@ def format_perceived_trace(pt: PerceivedTrace) -> str:
 # The theorem checker: every small episode, then randomized trials
 
 
-def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[Label],
-                             max_len: int) -> Iterator[ObservedEpisode]:
-    """Every terminated episode over the given alphabets, lifetimes 1..max_len.
-
-    `ent_labels` are the non-ZERO entity labels. This enumerates episode
-    contents directly, which covers every terminated episode extractable
-    from any trace over the same alphabets.
-    """
-    for length in range(1, max_len + 1):
-        for ents in itertools.product(ent_labels, repeat=length):
-            for envs in itertools.product(env_labels, repeat=length):
-                for nxt_env in env_labels:
-                    yield ObservedEpisode(
-                        start=0,
-                        ent_states=ents,
-                        env_states=envs,
-                        next_pair_after_end=(ZERO, nxt_env),
-                        terminated=True,
-                    )
-
-
 @dataclass(frozen=True)
 class TheoremCheckReport:
     """Tallies from one theorem-checking sweep; violations must be zero."""
@@ -399,6 +382,12 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
     episodes and constructed deterministic-environment episodes so the
     premises are actually exercised.
 
+    Neither part builds an episode: both send label codes to `_judge`,
+    whose verdicts the tests check against `check_proposition`. The sweep
+    enumerates its episodes as products of the environment codes 0 and 1,
+    one per moment plus a last one for the label after the end, with
+    entity code 0 throughout, and reads its threshold once per call.
+
     Trial t draws from its own `substream(seed, t)`, which nothing reads
     after the trial. So `_random_trial` may read the trial's label draws
     from blocks of raw generator words that `seeds.WordReader` sizes as
@@ -410,12 +399,12 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
         raise ValueError(f"trials must be non-negative, got {trials}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    ents, envs = ("A",), ("X", "Y")
-    space = PerceptionSpace(frozenset({ZERO, *ents}), frozenset(envs))
-    checks = map(check_proposition, iter_terminated_episodes(ents, envs, max_len=10),
-                 itertools.repeat(space))
+    threshold = contradiction_threshold(PerceptionSpace(frozenset({ZERO, "A"}), frozenset("XY")))
+    sweep = itertools.chain.from_iterable(
+        itertools.product(b"\0\1", repeat=length + 1) for length in range(1, 11))
     exhaustive, exhaustive_premises, exhaustive_violations = _tally(
-        (check.premises_hold, check.violation) for check in checks)
+        _judge(bytes(len(codes) - 1), bytes(codes[:-1]), codes[-1], threshold)
+        for codes in sweep)
     _, randomized_premises, randomized_violations = _tally(
         _random_trial(seed, trial, max_len) for trial in range(trials))
     return TheoremCheckReport(
@@ -452,15 +441,15 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     overdraw: every value equals the sequential draw's, and only the
     stream state after the trial differs.
 
-    The episode is never built. Label number i of an alphabet is code i,
-    a moment's pair is e * 5 + v, and ZERO, the entity after the end, is
-    code 5. The premises are tested in the order terminated, intelligence
-    above the threshold, environment, and the trial stops at the first
-    that fails. Even trials are terminated by construction; the threshold
-    is tested right after the lifetime draw, before any label is read, so
-    an odd trial's coin, drawn after its labels, comes second only in
-    time. `_determines` checks the environment only when both hold, and
-    the contradiction only when all three do.
+    The episode is never built: its label codes go to `_judge`, the judge
+    of the exhaustive sweep too. The premises are tested in the order
+    terminated, intelligence above the threshold, environment, and the
+    trial stops at the first that fails. Even trials are terminated by
+    construction; the threshold is tested right after the lifetime draw,
+    so a trial under it reads no label, and an odd trial's coin, drawn
+    after its labels, comes second only in time. `_judge` then tests the
+    threshold again, checks the environment, and checks the contradiction
+    only when all three hold.
     """
     rng = substream(seed, trial)
     a = rng.randint(1, len(_ENT_ALPHABET))
@@ -487,6 +476,25 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
             return False, False
         env = words.choices(b, 1)[0]
     # env is now the environment label after the end.
+    return _judge(ents, envs, env, threshold)
+
+
+def _judge(ents: bytes, envs: bytes, env: int, threshold: int) -> tuple[bool, bool]:
+    """(premises_hold, violation) of `check_proposition` on a terminated
+    episode given by its label codes: entity codes `ents`, environment
+    codes `envs`, and `env` after the end, in a space whose
+    `contradiction_threshold` is `threshold`.
+
+    Label number i of an alphabet is code i, below 5, a moment's pair is
+    e * 5 + v, and ZERO, the entity after the end, is code 5. The judge
+    tests the threshold, then the environment, then the contradiction,
+    and stops at the first premise that fails: `_determines` checks the
+    environment only over the threshold, and the contradiction only when
+    the environment is deterministic too.
+    """
+    length = len(ents)
+    if length - 1 <= threshold:
+        return False, False
     pairs = (int.from_bytes(ents, "big") * 5 + int.from_bytes(envs, "big")).to_bytes(length, "big")
     if not _determines(pairs, envs[1:] + bytes((env,))):
         return False, False

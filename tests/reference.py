@@ -7,8 +7,10 @@ looks up every viewport cell (the render oracle for the one built on
 `ca.pack_rows`), the glider phases the scan looks for, stepped and
 normalised here, the episode generators built on `rng.choice` and
 `rng.randint`, which are the tests' episode source and replay each
-random theorem trial's draws, and the coop experiment that walks every
-meeting. The small helpers these need, the generators' argument rule,
+random theorem trial's draws, the enumerator of every terminated
+episode over given alphabets, whose episodes `check_proposition` judges
+against the package's code judge, and the coop experiment that walks
+every meeting. The small helpers these need, the generators' argument rule,
 the stance table and the NaN-guarded mean, are copied here too, so no
 oracle checks a rule with the code that states it. Nothing in the package
 imports this module.
@@ -16,9 +18,10 @@ imports this module.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from lifelens.ca import GLIDER, CAState, Cell
 from lifelens.coop import (
@@ -169,6 +172,27 @@ def random_deterministic_episode(rng: random.Random, ent_labels: Sequence[Label]
         envs.append(table[(ents[i], envs[i])])
     nxt_env = table[(ents[-1], envs[-1])]
     return ObservedEpisode(0, ents, tuple(envs), (ZERO, nxt_env), True)
+
+
+def iter_terminated_episodes(ent_labels: Sequence[Label], env_labels: Sequence[Label],
+                             max_len: int) -> Iterator[ObservedEpisode]:
+    """Every terminated episode over the given alphabets, lifetimes 1..max_len.
+
+    `ent_labels` are the non-ZERO entity labels. This enumerates episode
+    contents directly, which covers every terminated episode extractable
+    from any trace over the same alphabets.
+    """
+    for length in range(1, max_len + 1):
+        for ents in itertools.product(ent_labels, repeat=length):
+            for envs in itertools.product(env_labels, repeat=length):
+                for nxt_env in env_labels:
+                    yield ObservedEpisode(
+                        start=0,
+                        ent_states=ents,
+                        env_states=envs,
+                        next_pair_after_end=(ZERO, nxt_env),
+                        terminated=True,
+                    )
 
 
 # Stances indexed by the bool "is COOP", as the inner loop below encodes them.

@@ -72,7 +72,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from reference import GLIDER_PHASES
+from reference import GLIDER_PHASES, iter_terminated_episodes
 from lifelens import ca, observe
 from lifelens.ca import (
     BLOCK,
@@ -92,7 +92,6 @@ from lifelens.observe import (
     check_proposition,
     find_glider,
     glider_observer,
-    iter_terminated_episodes,
     perceive_trace,
 )
 from lifelens.seeds import DEFAULT_SEED, substream

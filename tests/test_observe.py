@@ -3,16 +3,23 @@
 Witness examples were derived by hand-walking the definitions (equal
 perceived pairs followed by different labels) and then frozen. The
 duality and theorem sweeps at scale live in test_acceptance.py; here the
-same properties run on smaller randomized batches.
+same properties run on smaller randomized batches. The theorem's code
+judge, `observe._judge`, is checked against `check_proposition` on every
+episode of the CLI's exhaustive sweep, on hand-built episodes, and on
+exhaustive sweeps at the first lifetime over the threshold whose two or
+three entity labels the CLI's sweep never has.
 """
 
+import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import random_deterministic_episode, random_episode
+from reference import iter_terminated_episodes, random_deterministic_episode, random_episode
+from lifelens import observe
 from lifelens.ca import BLOCK, CAState, GLIDER, glider_block_scene, run
 from lifelens.observe import (
     Observer,
@@ -31,7 +38,6 @@ from lifelens.observe import (
     intelligence,
     is_contradictory,
     is_deterministic_env,
-    iter_terminated_episodes,
     perceive_trace,
     run_theorem_check,
 )
@@ -56,6 +62,14 @@ env_labels = st.sampled_from(ENVS)
 perceived_traces = st.lists(
     st.tuples(st.one_of(st.just(ZERO), ent_labels), env_labels), max_size=14,
 ).map(lambda pairs: PerceivedTrace(tuple(pairs)))
+
+
+def label_codes(ep, ent_labels, env_labels):
+    """A terminated episode's label codes as `observe._judge` takes them:
+    label number i of its alphabet is code i."""
+    return (bytes(map(ent_labels.index, ep.ent_states)),
+            bytes(map(env_labels.index, ep.env_states)),
+            env_labels.index(ep.next_pair_after_end[1]))
 
 
 def random_ep(rng):
@@ -278,15 +292,87 @@ class TestProposition:
         assert verdict.env_witness == env_witness
         assert verdict.env_deterministic == (env_witness is None)
 
-    def test_exhaustive_small_alphabet_has_no_violation(self):
-        # The full sweep (lifetimes to 10) runs in test_acceptance; this
-        # covers lifetimes to 8 as a quick guard.
+    # `lifelens theorem`'s sweep judges exactly the 4,092 terminated
+    # episodes that reference.py enumerates (lifetimes to 10), on their
+    # codes, and the judge gives `check_proposition`'s verdict on each.
+    def test_exhaustive_small_alphabet_has_no_violation(self, monkeypatch):
+        episodes = list(iter_terminated_episodes(("A",), ("X", "Y"), max_len=10))
+        threshold = contradiction_threshold(self.SPACE)
+        judged = []
+        judge = observe._judge
+        monkeypatch.setattr(observe, "_judge", lambda *args: judged.append(args) or judge(*args))
+        report = run_theorem_check(trials=0, seed=1)
+        codes = [label_codes(ep, "A", "XY") for ep in episodes]
+        assert Counter(judged) == Counter((*c, threshold) for c in codes)
         premise_cases = 0
-        for ep in iter_terminated_episodes(("A",), ("X", "Y"), max_len=8):
-            verdict = check_proposition(ep, self.SPACE)
-            premise_cases += verdict.premises_hold
-            assert not verdict.violation
-        assert premise_cases > 0
+        for ep, c in zip(episodes, codes):
+            check = check_proposition(ep, self.SPACE)
+            assert judge(*c, threshold) == (check.premises_hold, check.violation)
+            premise_cases += check.premises_hold
+            assert not check.violation
+        assert (len(episodes), premise_cases) == (4092, 30)
+        assert (report.exhaustive_episodes, report.exhaustive_premise_cases) == (4092, 30)
+
+    # Threshold 6 is that of {0, A, B} x {X, Y}; -1 is below every real
+    # threshold, so only there do the premises hold with no contradiction.
+    # `checks` counts the judge's `_determines` calls: it stops at the
+    # first premise that fails.
+    @pytest.mark.parametrize("ents, envs, after, threshold, verdict, checks", [
+        ("AAAAAAA", "XXXXXXX", "X", 6, (False, False), 0),
+        ("AAAAAAAA", "XXYXXXXX", "X", 6, (False, False), 1),
+        ("AAAAAAAA", "XXXXXXXX", "Y", 6, (False, False), 1),
+        ("AAAAAAAA", "XXXXXXXX", "X", 6, (True, False), 2),
+        ("ABAABABB", "XXXXXXXX", "X", 6, (True, False), 2),
+        ("A", "X", "Y", -1, (True, True), 2),
+        ("AB", "XX", "X", -1, (True, True), 2),
+    ], ids=["under-threshold", "nondeterministic-env", "env-after-the-end",
+            "death-contradiction", "behavioral-contradiction", "one-moment", "distinct-pairs"])
+    def test_judge_matches_the_oracle_premise_by_premise(self, monkeypatch, ents, envs, after,
+                                                         threshold, verdict, checks):
+        ep = episode(ents, envs, next_pair=(ZERO, after))
+        determines, calls = observe._determines, []
+        monkeypatch.setattr(observe, "_determines", lambda pairs, successors:
+                            calls.append(pairs) or determines(pairs, successors))
+        assert observe._judge(*label_codes(ep, "AB", "XY"), threshold) == verdict
+        assert len(calls) == checks
+        monkeypatch.setattr(observe, "contradiction_threshold", lambda space: threshold)
+        check = check_proposition(ep, self.SPACE)
+        assert (check.premises_hold, check.violation) == verdict
+
+    # Sweeps the CLI's one-entity-label sweep never reaches: every
+    # terminated episode at the first lifetime over the threshold, where
+    # two or more entity labels allow a contradiction before the death
+    # step. The judge is checked against `check_proposition` on every
+    # episode of the first two sweeps and a seeded sample of the third.
+    @pytest.mark.parametrize("a, b, length, episodes, premise_cases, sample", [
+        (2, 1, 5, 32, 32, None),
+        (3, 1, 6, 729, 729, None),
+        (2, 2, 8, 131_072, 5_244, 3000),
+    ], ids=["2x1-lifetime-5", "3x1-lifetime-6", "2x2-lifetime-8"])
+    def test_first_lifetime_over_the_threshold_has_no_violation(self, a, b, length, episodes,
+                                                                premise_cases, sample):
+        ent_labels, env_labels = "ABC"[:a], "XY"[:b]
+        space = PerceptionSpace(frozenset({ZERO, *ent_labels}), frozenset(env_labels))
+        threshold = contradiction_threshold(space)
+        assert length - 2 == threshold
+        codes = list(itertools.product(itertools.product(range(a), repeat=length),
+                                       itertools.product(range(b), repeat=length), range(b)))
+        verdicts = [observe._judge(bytes(ents), bytes(envs), env, threshold)
+                    for ents, envs, env in codes]
+        assert len(verdicts) == episodes
+        assert sum(premises for premises, _ in verdicts) == premise_cases
+        assert not any(violation for _, violation in verdicts)
+        indexes = (range(episodes) if sample is None
+                   else random.Random(8).sample(range(episodes), sample))
+        checked_premises = 0
+        for i in indexes:
+            ents, envs, env = codes[i]
+            ep = episode([ent_labels[e] for e in ents], [env_labels[v] for v in envs],
+                         next_pair=(ZERO, env_labels[env]))
+            check = check_proposition(ep, space)
+            assert verdicts[i] == (check.premises_hold, check.violation)
+            checked_premises += check.premises_hold
+        assert checked_premises > 0
 
 
 class TestEpisodeGenerators:
