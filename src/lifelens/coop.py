@@ -152,15 +152,56 @@ def _mean(total: float, count: int) -> float:
     return total / count if count else float("nan")
 
 
-# Players per block of flip words: a block of 1000 x 20 meetings would
-# hold 160 KB of words at once, one of 256 players 40 KB.
+# Players per block of flip words. Blocks bound the words held at once:
+# an unblocked repetition at --population 1000000 --env-size 20 would
+# hold 160 MB of them. A block of 1000 x 20 draws holds 160 KB, one of
+# 256 players 40 KB.
 _BLOCK_PLAYERS = 256
 
-# A flag byte whose draw's top byte equals the cut, settled from its bits.
+# The byte a cut table gives a draw whose top byte alone does not settle
+# it, the one top byte whose range the limit splits.
 _MARK = 2
 
 # The `struct` code of a little-endian lane of w bytes, for each lane width.
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _cut(q: float) -> tuple[int, bytes]:
+    """(limit, table) for draws `random() < q`. By the `random()` rule of
+    `seeds`' module docstring a draw is x / 2**53, so it is below q
+    exactly when x < limit = ceil(q * 2**53). The table maps the top byte
+    t = x >> 45 to 1 when every x with that top byte is below the limit,
+    (t + 1) << 45 <= limit, to 0 when none is, t << 45 >= limit, and to
+    _MARK otherwise. So the first limit >> 45 bytes map to 1, the next to
+    _MARK when the limit is not a multiple of 2**45, and the rest to 0:
+    at most one byte is marked, and none for q = 1/2."""
+    limit = math.ceil(q * 2.0 ** 53)
+    full, rest = divmod(limit, 1 << 45)
+    return limit, (b"\1" * full + bytes([_MARK] * (rest > 0))).ljust(256, b"\0")
+
+
+def _draws_below(rng: random.Random, count: int, limit: int, table: bytes) -> bytes:
+    """`bytes(rng.random() < q for _ in range(count))` for the q that
+    `_cut` gave (limit, table) for; the stream state after it is that
+    loop's too.
+
+    By the `random()` and word-order rules of `seeds`' module docstring,
+    draw i of a `getrandbits(64 * count)` block reads its words 2i and
+    2i + 1 as w1 and w2, so in the block's little-endian bytes w1 is
+    bytes 8i..8i+3 and x's top byte is byte 8i + 3. One
+    `bytes.translate` of the top bytes through the table settles every
+    draw but the marked ones, about 1 in 256 at most and none at q = 1/2,
+    and `bytes.find` walks those, each settled from its whole x.
+    """
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    draws = bytearray(words[3::8].translate(table))
+    i = draws.find(_MARK)
+    while i >= 0:
+        w1 = int.from_bytes(words[8 * i:8 * i + 4], "little")
+        w2 = int.from_bytes(words[8 * i + 4:8 * i + 8], "little")
+        draws[i] = ((w1 >> 5) << 26 | w2 >> 6) < limit
+        i = draws.find(_MARK, i + 1)
+    return bytes(draws)
 
 
 def _draw_repetition(rng: random.Random, m: int, n: int, p: float) -> tuple[bytes, bytes, bytes]:
@@ -170,45 +211,16 @@ def _draw_repetition(rng: random.Random, m: int, n: int, p: float) -> tuple[byte
     `rand = rng.random`. So `flags[j * m + i]` is 1 when player j flips
     before meeting i. Values and stream state equal that loop's.
 
-    By the `random()` and word-order rules of `seeds`' module docstring,
-    draw i of a `getrandbits(64 * k)` block reads its words 2i and
-    2i + 1 as w1 and w2, so in the block's little-endian bytes w1 is
-    bytes 8i..8i+3 and the top byte of x, x >> 45, is byte 8i + 3. A
-    draw is below 0.5 exactly when that byte is below 128, and below p
-    exactly when x < limit = ceil(p * 2**53). With c = (limit - 1) >>
-    45, a draw whose top byte is below c flips, one above c does not, and
-    only one equal to c (about 1 in 256) needs the whole of x. The flags are drawn in
-    blocks of at most _BLOCK_PLAYERS players, each player's m draws in
-    turn: one `bytes.translate` of a block's top bytes gives 1 below c,
-    0 above it and _MARK at c, and `bytes.find` walks the marks, each
-    settled by `_draw_bits`. tests/test_coop.py pins this function
-    against the loop above.
+    `_draws_below` reads them all: the m + n stances in one block, split
+    at m, then the flags in blocks of at most _BLOCK_PLAYERS players,
+    each player's m draws in turn, through one `_cut(p)`.
+    tests/test_coop.py pins this function against the loop above.
     """
-    getrandbits = rng.getrandbits
-    heads = getrandbits(64 * (m + n)).to_bytes(8 * (m + n), "little")[3::8]
-    coins = heads.translate(bytes(top < 128 for top in range(256)))
-    limit = math.ceil(p * 2.0 ** 53)
-    c = (limit - 1) >> 45
-    cut = bytes(1 if top < c else _MARK if top == c else 0 for top in range(256))
-    blocks = []
-    for first in range(0, n, _BLOCK_PLAYERS):
-        draws = m * min(_BLOCK_PLAYERS, n - first)
-        words = getrandbits(64 * draws).to_bytes(8 * draws, "little")
-        block = bytearray(words[3::8].translate(cut))
-        i = block.find(_MARK)
-        while i >= 0:
-            block[i] = _draw_bits(words, i) < limit
-            i = block.find(_MARK, i + 1)
-        blocks.append(block)
-    return coins[:m], coins[m:], b"".join(blocks)
-
-
-def _draw_bits(words: bytes, i: int) -> int:
-    """The 53 bits x of draw i in a little-endian block of words, as the
-    `random()` rule of `seeds`' module docstring states them."""
-    w1 = int.from_bytes(words[8 * i:8 * i + 4], "little")
-    w2 = int.from_bytes(words[8 * i + 4:8 * i + 8], "little")
-    return (w1 >> 5) << 26 | w2 >> 6
+    stances = _draws_below(rng, m + n, *_cut(0.5))
+    cut = _cut(p)
+    flags = b"".join(_draws_below(rng, m * min(_BLOCK_PLAYERS, n - first), *cut)
+                     for first in range(0, n, _BLOCK_PLAYERS))
+    return stances[:m], stances[m:], flags
 
 
 def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix()) -> CoopReport:
@@ -236,8 +248,13 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     non-contradictory count are read off the totals, the lanes and the
     flags. Each repetition's four int tallies go to one list that the
     report sums once.
+
+    An env_size of 2**64 or more, wider than the widest lane, raises
+    ValueError before anything is drawn.
     """
     m = config.env_size
+    if m >= 2 ** 64:
+        raise ValueError(f"env_size must be below 2**64, got {m}")
     n = config.population
     p = config.resolved_flip_probability()
     (nn, nc), (cn, cc) = _gain(payoffs)

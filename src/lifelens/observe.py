@@ -368,8 +368,9 @@ class TheoremCheckReport:
     violations: int
 
 
-_ENT_ALPHABET = ("A", "B", "C", "D", "E")
-_ENV_ALPHABET = ("V", "W", "X", "Y", "Z")
+# Labels per axis a random trial may draw: its spaces hold the codes
+# below a and below b, with a and b within 1.._LABELS.
+_LABELS = 5
 
 
 def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremCheckReport:
@@ -377,10 +378,10 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
 
     The exhaustive part enumerates every terminated episode with one
     non-ZERO entity label and two environment labels up to lifetime 10.
-    Each randomized trial draws alphabets of up to 5 labels per axis and
-    an episode of lifetime up to max_len, alternating between arbitrary
-    episodes and constructed deterministic-environment episodes so the
-    premises are actually exercised.
+    Each randomized trial draws label sets of up to _LABELS codes per
+    axis and an episode of lifetime up to max_len, alternating between
+    arbitrary episodes and constructed deterministic-environment episodes
+    so the premises are actually exercised.
 
     Neither part builds an episode: both send label codes to `_judge`,
     whose verdicts the tests check against `check_proposition`. The sweep
@@ -399,7 +400,7 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
         raise ValueError(f"trials must be non-negative, got {trials}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    threshold = contradiction_threshold(PerceptionSpace(frozenset({ZERO, "A"}), frozenset("XY")))
+    threshold = contradiction_threshold(PerceptionSpace(frozenset({ZERO, 0}), frozenset({0, 1})))
     sweep = itertools.chain.from_iterable(
         itertools.product(b"\0\1", repeat=length + 1) for length in range(1, 11))
     exhaustive, exhaustive_premises, exhaustive_violations = _tally(
@@ -452,10 +453,10 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     only when all three hold.
     """
     rng = substream(seed, trial)
-    a = rng.randint(1, len(_ENT_ALPHABET))
-    b = rng.randint(1, len(_ENV_ALPHABET))
-    space = PerceptionSpace(frozenset({ZERO, *_ENT_ALPHABET[:a]}), frozenset(_ENV_ALPHABET[:b]))
-    threshold = contradiction_threshold(space)
+    a = rng.randint(1, _LABELS)
+    b = rng.randint(1, _LABELS)
+    threshold = contradiction_threshold(
+        PerceptionSpace(frozenset({ZERO, *range(a)}), frozenset(range(b))))
     deterministic = trial % 2 == 0
     if deterministic:
         table = [rng.randrange(b) for _ in range(a * b)]
@@ -485,7 +486,7 @@ def _judge(ents: bytes, envs: bytes, env: int, threshold: int) -> tuple[bool, bo
     codes `envs`, and `env` after the end, in a space whose
     `contradiction_threshold` is `threshold`.
 
-    Label number i of an alphabet is code i, below 5, a moment's pair is
+    Every label is a code below _LABELS, 5, a moment's pair is
     e * 5 + v, and ZERO, the entity after the end, is code 5. The judge
     tests the threshold, then the environment, then the contradiction,
     and stops at the first premise that fails: `_determines` checks the

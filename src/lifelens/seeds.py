@@ -20,7 +20,8 @@ but CPython 3.10-3.13 follow, stated here once:
   lowest first.
 
 `market.run_market_experiment` applies the `_randbelow` rule inline,
-`WordReader` below all three, and `coop._draw_repetition` the last two.
+`WordReader` below all three, and `coop._draws_below`, the reader of
+every coop stance and flip, the last two.
 Each is pinned on the running interpreter against the stdlib draws it
 replaces: tests/test_market.py's replay through `randint`,
 tests/test_seeds.py and tests/test_coop.py; tests/test_seeds.py also

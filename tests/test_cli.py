@@ -327,6 +327,9 @@ BAD_INPUTS = [
      "lifelens coop: env_size, population and repetitions must be positive"),
     ("coop-flip-probability-2", ("coop", "--flip-probability", "2"), None,
      "lifelens coop: flip probability must lie in [0, 1], got 2.0"),
+    # No stance lane is wider than 8 bytes, so the row stops below 2**64.
+    ("coop-env-size-2**64", ("coop", "--env-size", str(2 ** 64)), None,
+     f"lifelens coop: env_size must be below 2**64, got {2 ** 64}"),
     ("market-tests-0", ("market", "--tests", "0"), None,
      "lifelens market: tests and group_size must be positive"),
     ("market-days-0", ("market", "--days", "0"), None,

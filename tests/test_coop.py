@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from lifelens import coop
 from lifelens.cli import main
 from lifelens.coop import (
     CoopConfig,
@@ -99,6 +100,16 @@ class TestConfig:
         assert CoopConfig(flip_probability=0.25).resolved_flip_probability() == 0.25
         config = CoopConfig(env_size=4, flip_probability=None)
         assert config.resolved_flip_probability() == flip_probability_for_even_odds(4)
+
+    def test_env_size_is_bounded_before_any_draw(self, monkeypatch):
+        # A stance lane is at most 8 bytes wide, so env_size stays below
+        # 2**64; the check comes before the first repetition's stream.
+        def substream(*key):
+            pytest.fail("a stream was drawn before env_size was checked")
+        monkeypatch.setattr(coop, "substream", substream)
+        message = r"^env_size must be below 2\*\*64, got 18446744073709551616$"
+        with pytest.raises(ValueError, match=message):
+            run_coop_experiment(CoopConfig(env_size=2 ** 64, population=1, repetitions=1))
 
     def test_record_flag_is_validated(self):
         with pytest.raises(ValueError):
