@@ -32,9 +32,15 @@ from . import ca, coop, market, observe, updown
 from .seeds import DEFAULT_SEED
 
 
+def _add_int(parser: argparse.ArgumentParser, flag: str, default: int, text: str,
+             metavar: str | None = None) -> None:
+    """Add an int flag whose help is `text` followed by its default."""
+    parser.add_argument(flag, type=int, default=default, metavar=metavar,
+                        help=f"{text} (default: %(default)s)")
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="base seed for all randomness (default: %(default)s)")
+    _add_int(parser, "--seed", DEFAULT_SEED, "base seed for all randomness")
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -60,16 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_life = sub.add_parser("life", help="evolve a '.'/'O' pattern file")
     p_life.set_defaults(run=cmd_life)
     p_life.add_argument("pattern", help="path to the pattern file")
-    p_life.add_argument("--steps", type=int, default=4,
-                        help="updates to apply (default: %(default)s)")
+    _add_int(p_life, "--steps", 4, "updates to apply")
     p_life.add_argument("--viewport", default=None, metavar="X0,Y0,WIDTH,HEIGHT",
                         help="window to print (default: joint bounding box of all states)")
 
     p_obs = sub.add_parser("observe", help="watch a built-in scene through the glider observer")
     p_obs.set_defaults(run=cmd_observe)
     p_obs.add_argument("--scene", choices=_SCENES, default="glider-block")
-    p_obs.add_argument("--steps", type=int, default=19,
-                       help="trace length in updates (default: %(default)s)")
+    _add_int(p_obs, "--steps", 19, "trace length in updates")
     _add_format(p_obs)
 
     p_ud = sub.add_parser("updown", help="exact win counts for the up-and-down game")
@@ -81,34 +85,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coop = sub.add_parser("coop", help="cooperation game with random stance flips")
     p_coop.set_defaults(run=cmd_coop)
-    p_coop.add_argument("--env-size", type=int, default=20, metavar="M",
-                        help="environment members met per repetition (default: %(default)s)")
-    p_coop.add_argument("--population", type=int, default=1000, metavar="N",
-                        help="players per repetition (default: %(default)s)")
+    _add_int(p_coop, "--env-size", 20, "environment members met per repetition", "M")
+    _add_int(p_coop, "--population", 1000, "players per repetition", "N")
     p_coop.add_argument("--flip-probability", type=float, default=None, metavar="P",
                         help="per-meeting flip probability (default: even odds for M)")
-    p_coop.add_argument("--reps", type=int, default=100, help="repetitions (default: %(default)s)")
+    _add_int(p_coop, "--reps", 100, "repetitions")
     _add_seed(p_coop)
     _add_format(p_coop)
 
     p_mkt = sub.add_parser("market", help="consistent vs free traders on a random price map")
     p_mkt.set_defaults(run=cmd_market)
-    p_mkt.add_argument("--tests", type=int, default=50,
-                       help="independent tests (default: %(default)s)")
-    p_mkt.add_argument("--group-size", type=int, default=100,
-                       help="traders per group (default: %(default)s)")
-    p_mkt.add_argument("--days", type=int, default=market.DAYS_PER_WEEK,
-                       help="trading days per test (default: %(default)s)")
+    _add_int(p_mkt, "--tests", 50, "independent tests")
+    _add_int(p_mkt, "--group-size", 100, "traders per group")
+    _add_int(p_mkt, "--days", market.DAYS_PER_WEEK, "trading days per test")
     _add_seed(p_mkt)
     _add_format(p_mkt)
 
     p_thm = sub.add_parser("theorem", help="sweep the pigeonhole implication for violations")
     p_thm.set_defaults(run=cmd_theorem)
-    p_thm.add_argument("--trials", type=int, default=10000,
-                       help="randomized episodes on top of the exhaustive sweep "
-                            "(default: %(default)s)")
-    p_thm.add_argument("--max-len", type=int, default=200,
-                       help="largest randomized lifetime (default: %(default)s)")
+    _add_int(p_thm, "--trials", 10000, "randomized episodes on top of the exhaustive sweep")
+    _add_int(p_thm, "--max-len", 200, "largest randomized lifetime")
     _add_seed(p_thm)
 
     return parser
@@ -164,6 +160,16 @@ def cmd_life(args, out: list[str]) -> int:
     return 0
 
 
+def _csv(out: list[str], header: str, rows) -> None:
+    """Append a CSV table to out: the header, then one line per row.
+
+    A row's fields are written as str() gives them, joined by commas.
+    No field holds a comma, so none is quoted.
+    """
+    out.append(header)
+    out.extend(",".join(map(str, row)) for row in rows)
+
+
 def _witness_text(witness: observe.Witness | None, found: str, absent: str) -> str:
     return f"{found}, witness ({witness.a}, {witness.b})" if witness else absent
 
@@ -175,15 +181,12 @@ def cmd_observe(args, out: list[str]) -> int:
     witnesses = [(observe.is_contradictory(ep), observe.is_deterministic_env(ep))
                  for ep in episodes]
     if args.format == "csv":
-        out.append("start,end,intelligence,terminated,contradictory,witness_a,witness_b,"
-                   "env_deterministic,env_witness_a,env_witness_b")
-        for ep, (c, d) in zip(episodes, witnesses):
-            out.append(",".join(str(v) for v in (
-                ep.start, ep.start + ep.q, observe.intelligence(ep),
-                ep.terminated,
-                c is not None, c.a if c else "", c.b if c else "",
-                d is None, d.a if d else "", d.b if d else "",
-            )))
+        _csv(out, "start,end,intelligence,terminated,contradictory,witness_a,witness_b,"
+                  "env_deterministic,env_witness_a,env_witness_b",
+             ((ep.start, ep.start + ep.q, observe.intelligence(ep), ep.terminated,
+               c is not None, c.a if c else "", c.b if c else "",
+               d is None, d.a if d else "", d.b if d else "")
+              for ep, (c, d) in zip(episodes, witnesses)))
         return 0
     out.append(f"scene: {args.scene}")
     out.append(f"trace: states 0..{len(trace) - 1}")
@@ -212,8 +215,7 @@ def cmd_updown(args, out: list[str]) -> int:
         n = args.n if args.n is not None else 10
         rows, total = updown.victory_table(n), factorial(n)
     if args.format == "csv":
-        out.append("strategy,wins,total")
-        out.extend(f"{w},{c},{total}" for w, c in rows)
+        _csv(out, "strategy,wins,total", ((w, c, total) for w, c in rows))
     elif args.strategy is not None:
         [(word, wins)] = rows
         out.append(f"strategy {word}: wins {wins} of {total} decks")
@@ -237,12 +239,11 @@ def cmd_coop(args, out: list[str]) -> int:
     rows = [(rep, "".join(str(s) for s in rep.winner.stance_history))
             for rep in report.repetitions]
     if args.format == "csv":
-        out.append("rep,env_coop_count,winner_index,winner_payoff,winner_contradictory,"
-                   "winner_history,noncontradictory_fraction")
-        for rep, history in rows:
-            out.append(f"{rep.index},{rep.env_coop_count},{rep.winner_index},"
-                       f"{rep.winner.total_payoff},{rep.winner.contradictory},"
-                       f"{history},{rep.noncontradictory_fraction:.6f}")
+        _csv(out, "rep,env_coop_count,winner_index,winner_payoff,winner_contradictory,"
+                  "winner_history,noncontradictory_fraction",
+             ((rep.index, rep.env_coop_count, rep.winner_index, rep.winner.total_payoff,
+               rep.winner.contradictory, history, f"{rep.noncontradictory_fraction:.6f}")
+              for rep, history in rows))
         return 0
     out.append(f"repetitions: {config.repetitions}, environment {config.env_size}, "
                f"population {config.population}, flip probability {report.flip_probability:.6f}")
@@ -262,10 +263,9 @@ def cmd_market(args, out: list[str]) -> int:
     report = market.run_market_experiment(
         tests=args.tests, group_size=args.group_size, days=args.days, seed=args.seed)
     if args.format == "csv":
-        out.append("test,initial_price,transition,best_consistent,best_free,comparison")
-        out.extend(f"{row.index},{row.initial_price},{row.transition_digits},"
-                   f"{row.best_consistent},{row.best_free},{row.comparison}"
-                   for row in report.results)
+        _csv(out, "test,initial_price,transition,best_consistent,best_free,comparison",
+             ((row.index, row.initial_price, row.transition_digits, row.best_consistent,
+               row.best_free, row.comparison) for row in report.results))
         return 0
     out.append(f"tests: {report.tests}, {report.group_size} traders per group, "
                f"{report.days} days, seed {report.seed}")

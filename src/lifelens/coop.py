@@ -75,7 +75,9 @@ def flip_probability_for_even_odds(m: int) -> float:
 @dataclass(frozen=True)
 class CoopConfig:
     """Experiment shape. flip_probability None means even odds for
-    env_size, resolved when the experiment runs."""
+    env_size, resolved when the experiment runs. An env_size of 2**64 or
+    more, wider than the widest stance lane, raises ValueError, so no
+    run of it draws anything."""
 
     env_size: int = 20
     population: int = 1000
@@ -88,6 +90,8 @@ class CoopConfig:
             raise ValueError("env_size, population and repetitions must be positive")
         if self.flip_probability is not None and not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError(f"flip probability must lie in [0, 1], got {self.flip_probability}")
+        if self.env_size >= 2 ** 64:
+            raise ValueError(f"env_size must be below 2**64, got {self.env_size}")
 
     def resolved_flip_probability(self) -> float:
         if self.flip_probability is None:
@@ -248,13 +252,8 @@ def run_coop_experiment(config: CoopConfig, payoffs: PayoffMatrix = PayoffMatrix
     non-contradictory count are read off the totals, the lanes and the
     flags. Each repetition's four int tallies go to one list that the
     report sums once.
-
-    An env_size of 2**64 or more, wider than the widest lane, raises
-    ValueError before anything is drawn.
     """
     m = config.env_size
-    if m >= 2 ** 64:
-        raise ValueError(f"env_size must be below 2**64, got {m}")
     n = config.population
     p = config.resolved_flip_probability()
     (nn, nc), (cn, cc) = _gain(payoffs)

@@ -558,16 +558,23 @@ class TestDispatch:
 # before the substring check.
 HELP_DEFAULTS = [
     ("life", "--steps STEPS updates to apply (default: 4)"),
+    ("life", "--viewport X0,Y0,WIDTH,HEIGHT window to print "
+             "(default: joint bounding box of all states)"),
     ("observe", "--steps STEPS trace length in updates (default: 19)"),
+    ("observe", "--format {report,csv} human-readable report (default) or a bare CSV table"),
     ("updown", "--n N deck size (default: 10)"),
+    ("updown", "--format {report,csv} human-readable report (default) or a bare CSV table"),
     ("coop", "--env-size M environment members met per repetition (default: 20)"),
     ("coop", "--population N players per repetition (default: 1000)"),
+    ("coop", "--flip-probability P per-meeting flip probability (default: even odds for M)"),
     ("coop", "--reps REPS repetitions (default: 100)"),
     ("coop", "--seed SEED base seed for all randomness (default: 271828)"),
+    ("coop", "--format {report,csv} human-readable report (default) or a bare CSV table"),
     ("market", "--tests TESTS independent tests (default: 50)"),
     ("market", "--group-size GROUP_SIZE traders per group (default: 100)"),
     ("market", "--days DAYS trading days per test (default: 7)"),
     ("market", "--seed SEED base seed for all randomness (default: 271828)"),
+    ("market", "--format {report,csv} human-readable report (default) or a bare CSV table"),
     ("theorem", "--trials TRIALS randomized episodes on top of the exhaustive sweep "
                 "(default: 10000)"),
     ("theorem", "--max-len MAX_LEN largest randomized lifetime (default: 200)"),

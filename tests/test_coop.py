@@ -95,6 +95,9 @@ class TestConfig:
             CoopConfig(repetitions=0)
         with pytest.raises(ValueError):
             CoopConfig(flip_probability=1.5)
+        message = r"^env_size must be below 2\*\*64, got 18446744073709551616$"
+        with pytest.raises(ValueError, match=message):
+            CoopConfig(env_size=2 ** 64)
 
     def test_resolution(self):
         assert CoopConfig(flip_probability=0.25).resolved_flip_probability() == 0.25
