@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 theorem violation, 2 usage, input or output
 error, 3 an unexpected exception (a bug). Each subcommand handler
-appends its stdout lines to the list main passes in and returns its
-exit code; main writes stdout only after the handler returns, so stdout
+appends its stdout lines to the list main passes in, an entry being one
+line or one block of lines joined by newlines, and returns its exit
+code; main writes stdout only after the handler returns, so stdout
 stays empty on exits 2 and 3. Handlers report bad input by raising
 ValueError. main turns any ValueError a handler raises, internal
 invariants such as the market's no-negative-portfolio check included,
@@ -220,7 +221,8 @@ def cmd_updown(args, out: list[str]) -> int:
         [(word, wins)] = rows
         out.append(f"strategy {word}: wins {wins} of {total} decks")
     else:
-        out.extend(f"{w} {c:>12} / {total}" for w, c in rows)
+        # One block of rows: for an int, %12d pads as {c:>12} does.
+        out.append("\n".join(map(f"%s %12d / {total}".__mod__, rows)))
         # The first maximum, as in max_victories: ties go to the UP-first word.
         best, best_wins = max(rows, key=lambda row: row[1])
         out.append(f"maximizer: {best} with {best_wins} of {total} decks")

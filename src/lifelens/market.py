@@ -224,8 +224,9 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         raise ValueError("tests and group_size must be positive")
     # randint(-START_SHARES, START_CASH // price) draws r in [0, n) and
     # returns r - START_SHARES, for these (n, k = n.bit_length()) pairs.
-    widths = [(n, n.bit_length())
-              for n in (START_SHARES + START_CASH // price + 1 for price in PRICES)]
+    (n0, k0), (n1, k1), (n2, k2) = [
+        (n, n.bit_length())
+        for n in (START_SHARES + START_CASH // price + 1 for price in PRICES)]
     results = []
     clamped_total = 0
     for t in range(tests):
@@ -239,12 +240,17 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         start = START_CASH + START_SHARES * path[0]
         best_a = best_b = -1
         for _ in range(group_size):
-            trades = []
-            for n, k in widths:
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                trades.append(r - START_SHARES)
+            # The commitments for 900, 1000 and 1100, drawn in that order.
+            r0 = getrandbits(k0)
+            while r0 >= n0:
+                r0 = getrandbits(k0)
+            r1 = getrandbits(k1)
+            while r1 >= n1:
+                r1 = getrandbits(k1)
+            r2 = getrandbits(k2)
+            while r2 >= n2:
+                r2 = getrandbits(k2)
+            trades = (r0 - START_SHARES, r1 - START_SHARES, r2 - START_SHARES)
             capital, shares = start, START_SHARES
             for price, level, move in week:
                 # Shares after the trade, clamped as Portfolio clamps the trade.

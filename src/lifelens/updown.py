@@ -8,18 +8,19 @@ position i demands card i+1 above card i, DOWN demands it below.
 Win counts are exact integers. `victories_bruteforce` enumerates every
 deck; `victories_dp` counts one word's relative orderings with a dynamic
 program over (prefix length, rank of the last dealt card). The table of
-all 2^(n-1) words, `victory_table`, builds one DP row per proper
-prefix of an UP-first word, so words sharing a prefix share its rows,
-and takes the DOWN-first half as the UP-first half reversed. It yields
-plain (word text, wins) rows, and `victories_dp` is its oracle. The
-table's best entry is the best achievable count, and
-`contradictory_bonus_demo` exhibits the classic trick: switching words
-mid-series beats any fixed word by one.
+all 2^(n-1) words, `victory_table`, builds one DP row per prefix of an
+UP-first word at least two letters short of it, so words sharing a
+prefix share its rows, and takes the DOWN-first half as the UP-first
+half reversed. It yields plain (word text, wins) rows, and
+`victories_dp` is its oracle. The table's best entry is the best
+achievable count, and `contradictory_bonus_demo` exhibits the classic
+trick: switching words mid-series beats any fixed word by one.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
@@ -162,16 +163,22 @@ def _walk(row: list[int], letters: int, counts: list[int]) -> None:
     """Append to `counts` the wins of every word that extends, by
     `letters` more letters, the prefix whose DP row is `row`; UP first.
     With no letters left that is `victories_dp`'s last step, sum(row).
-    With one left, no leaf row is built: the UP child's sum is
-    sum(prefix), and the DOWN child, each entry the total minus one of
-    prefix, sums to len(prefix) * total - sum(prefix)."""
+    With two left, no child or grandchild row is built. Let P be row's
+    prefix sums, m = len(P), S = sum(P) and T = P[-1], the total. The
+    UP child's row is P and the DOWN child's is T - P, and a row c's UP
+    child sums to sum((m - i) * c[i]), its DOWN child to
+    (m + 1) * sum(c) minus that. So the four grandchildren win
+    UU = sum((m - i) * P[i]), UD = (m + 1) * S - UU,
+    DU = T * m * (m + 1) / 2 - UU and DD = (m + 1) * (m * T - S) - DU."""
     if letters == 0:
         counts.append(sum(row))
         return
     prefix = list(itertools.accumulate(row, initial=0))
-    if letters == 1:
-        up = sum(prefix)
-        counts += (up, len(prefix) * prefix[-1] - up)
+    if letters == 2:
+        m, s, t = len(prefix), sum(prefix), prefix[-1]
+        uu = sum(map(operator.mul, prefix, range(m, 0, -1)))
+        du = t * (m * (m + 1) // 2) - uu
+        counts += (uu, (m + 1) * s - uu, du, (m + 1) * (m * t - s) - du)
         return
     _walk(prefix, letters - 1, counts)
     _walk([prefix[-1] - p for p in prefix], letters - 1, counts)
@@ -183,10 +190,14 @@ def victory_table(n: int) -> list[tuple[str, int]]:
     decks, and n is limited to 2..16.
 
     The text is `Strategy.to_text`'s, such as 'UDUD'. A depth-first walk
-    of the UP-first words builds one `victories_dp` row per proper
-    prefix from its parent's: the UP row is the parent's prefix sums,
-    the DOWN row their complements to the total. For n >= 3 a whole
-    word's wins come from its parent's prefix sums alone. The DOWN-first
+    of the UP-first words builds one `victories_dp` row per prefix at
+    least two letters short of a word, from its parent's: the UP row is
+    the parent's prefix sums, the DOWN row their complements to the
+    total. For n >= 4 the wins of a prefix's four two-letter extensions
+    come from its prefix sums P alone, with m = len(P), S = sum(P) and
+    T = P[-1]: UU = sum((m - i) * P[i]), UD = (m + 1) * S - UU,
+    DU = T * m * (m + 1) / 2 - UU and DD = (m + 1) * (m * T - S) - DU,
+    as `_walk` derives. n = 2 and n = 3 end at a row's sum. The DOWN-first
     half is the UP-first half reversed: mapping each card c to n + 1 - c
     turns a deck that a word wins into one that its complement, every
     letter swapped, wins, and the complement of the i-th word in

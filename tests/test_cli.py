@@ -200,6 +200,26 @@ class TestUpdown:
         best, _ = updown.max_victories(12)
         assert built == [best]
 
+    def test_table_is_written_in_a_fixed_number_of_writes(self, capsys, monkeypatch):
+        class CountingStream(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        counted = {}
+        for n in ("8", "12"):
+            stream = CountingStream()
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["updown", "--n", n]) == 0
+            monkeypatch.undo()
+            code, out, _ = run_cli(capsys, "updown", "--n", n)
+            assert code == 0
+            assert stream.getvalue() == out
+            counted[n] = stream.writes
+        assert counted["8"] == counted["12"]
+
 
 class TestCoop:
     ARGS = ("coop", "--env-size", "2", "--population", "5", "--reps", "3",
