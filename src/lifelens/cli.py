@@ -28,6 +28,7 @@ import errno
 import os
 import sys
 from math import factorial
+from operator import itemgetter
 
 from . import ca, coop, market, observe, updown
 from .seeds import DEFAULT_SEED
@@ -224,7 +225,7 @@ def cmd_updown(args, out: list[str]) -> int:
         # One block of rows: for an int, %12d pads as {c:>12} does.
         out.append("\n".join(map(f"%s %12d / {total}".__mod__, rows)))
         # The first maximum, as in max_victories: ties go to the UP-first word.
-        best, best_wins = max(rows, key=lambda row: row[1])
+        best, best_wins = max(rows, key=itemgetter(1))
         out.append(f"maximizer: {best} with {best_wins} of {total} decks")
     return 0
 

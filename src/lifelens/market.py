@@ -150,6 +150,19 @@ def _run_week(path: tuple[int, ...], policy: TraderPolicy, rng: Random) -> tuple
     return portfolio.value(path[-1]), clamped
 
 
+def _still_clamps(price: int, days: int) -> list[int]:
+    """Clamped trades of a consistent trader's still week at `price`,
+    indexed by its commitment draw r in 0..START_SHARES + START_CASH // price.
+
+    Capital stays START_CASH + START_SHARES * price, so a trade t != 0
+    runs unclamped for room // |t| days, room being START_CASH // price
+    for a buy and START_SHARES for a sale, and clamps every later day.
+    """
+    room = START_CASH // price
+    return [max(0, days - (room if t > 0 else START_SHARES) // abs(t)) if t else 0
+            for t in range(-START_SHARES, room + 1)]
+
+
 def simulate_week(dynamics: PriceDynamics, policy: TraderPolicy, rng: Random | None = None,
                   days: int = DAYS_PER_WEEK) -> int:
     """Final capital of one trader; infeasible intentions are clamped."""
@@ -198,11 +211,18 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
     one `randint(-shares, cash // price)` per day, as `FreePolicy` draws
     it). Bests are exact integer maxima. In a still week, whose start
     price maps to itself or which has one day, no trade changes any
-    capital, so group B's best is the start capital. Its draws would be
-    the last of the test's own substream, which nothing reads after the
-    test, so skipping them changes no drawn value and no value's place:
-    only the discarded stream's state differs, the rule
-    `run_theorem_check` documents for its random trials. Each draw
+    capital, so both groups' bests are the start capital. Group B's
+    draws would be the last of the test's own substream, which nothing
+    reads after the test, so skipping them changes no drawn value and no
+    value's place: only the discarded stream's state differs, the rule
+    `run_theorem_check` documents for its random trials. Group A's
+    traders still make their three draws, but play no day: a trader's
+    clamps depend only on its commitment at the still price, and
+    `_still_clamps` counts them in closed form. A still week never
+    moves capital and the clamp keeps shares within 0..capital // price,
+    so `Portfolio`'s non-negativity check cannot fail in it;
+    tests/test_market.py runs `_run_week`'s check on every such week
+    of up to 60 days. Each draw
     applies the `_randbelow` rule of `seeds`' module docstring inline,
     so the stream is consumed exactly as `randint` consumes it;
     tests/test_market.py pins this by replaying whole reports through
@@ -238,7 +258,11 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
         week = [(price, PRICES.index(price), after - price)
                 for price, after in zip(path, path[1:] + path[-1:])]
         start = START_CASH + START_SHARES * path[0]
-        best_a = best_b = -1
+        still = not any(move for _, _, move in week)
+        best_a = best_b = start if still else -1
+        if still:
+            clamps = _still_clamps(path[0], days)
+            still_level = PRICES.index(path[0])
         for _ in range(group_size):
             # The commitments for 900, 1000 and 1100, drawn in that order.
             r0 = getrandbits(k0)
@@ -250,6 +274,9 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
             r2 = getrandbits(k2)
             while r2 >= n2:
                 r2 = getrandbits(k2)
+            if still:
+                clamped_total += clamps[(r0, r1, r2)[still_level]]
+                continue
             trades = (r0 - START_SHARES, r1 - START_SHARES, r2 - START_SHARES)
             capital, shares = start, START_SHARES
             for price, level, move in week:
@@ -266,9 +293,7 @@ def run_market_experiment(tests: int = 50, group_size: int = 100,
                 capital += shares * move
             if capital > best_a:
                 best_a = capital
-        if not any(move for _, _, move in week):
-            best_b = start   # a still week: group B draws nothing
-        else:
+        if not still:   # in a still week group B draws nothing
             for _ in range(group_size):
                 capital = start
                 for price, _, move in week:

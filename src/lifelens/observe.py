@@ -371,6 +371,10 @@ class TheoremCheckReport:
 # Labels per axis a random trial may draw: its spaces hold the codes
 # below a and below b, with a and b within 1.._LABELS.
 _LABELS = 5
+# _SPACES[a - 1][b - 1]: the space of a trial over a entity and b
+# environment codes, built once for every (a, b).
+_SPACES = [[PerceptionSpace(frozenset({ZERO, *range(a)}), frozenset(range(b)))
+            for b in range(1, _LABELS + 1)] for a in range(1, _LABELS + 1)]
 
 
 def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremCheckReport:
@@ -400,7 +404,8 @@ def run_theorem_check(trials: int, seed: int, max_len: int = 200) -> TheoremChec
         raise ValueError(f"trials must be non-negative, got {trials}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    threshold = contradiction_threshold(PerceptionSpace(frozenset({ZERO, 0}), frozenset({0, 1})))
+    # The sweep's space: one entity code and two environment codes.
+    threshold = contradiction_threshold(_SPACES[0][1])
     sweep = itertools.chain.from_iterable(
         itertools.product(b"\0\1", repeat=length + 1) for length in range(1, 11))
     exhaustive, exhaustive_premises, exhaustive_violations = _tally(
@@ -423,6 +428,9 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     get a deterministic environment by construction, a transition table
     from each (entity, environment) pair to the next environment label;
     odd trials an arbitrary one, terminated with probability 1/2.
+
+    Its space is the prebuilt `_SPACES[a - 1][b - 1]`, whose threshold
+    is read once per trial.
 
     Draw order: `randint(1, 5)` for a, `randint(1, 5)` for b, then
     - even trials: the table, one `randrange(b)` per (entity,
@@ -455,8 +463,7 @@ def _random_trial(seed: int, trial: int, max_len: int) -> tuple[bool, bool]:
     rng = substream(seed, trial)
     a = rng.randint(1, _LABELS)
     b = rng.randint(1, _LABELS)
-    threshold = contradiction_threshold(
-        PerceptionSpace(frozenset({ZERO, *range(a)}), frozenset(range(b))))
+    threshold = contradiction_threshold(_SPACES[a - 1][b - 1])
     deterministic = trial % 2 == 0
     if deterministic:
         table = [rng.randrange(b) for _ in range(a * b)]

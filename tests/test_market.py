@@ -24,6 +24,7 @@ from lifelens.market import (
     START_CASH,
     START_SHARES,
     _run_week,
+    _still_clamps,
     run_market_experiment,
     sample_consistent_policy,
     sample_dynamics,
@@ -162,6 +163,19 @@ class TestSimulateWeek:
     def test_rejects_empty_week(self):
         with pytest.raises(ValueError):
             simulate_week(CONSTANT[900], FreePolicy(), days=0)
+
+    def test_still_week_clamps_in_closed_form(self):
+        """Every consistent week at one price, for every commitment draw
+        r and 1 to 60 days, clamps as often as `_run_week` counts, and
+        passes `Portfolio`'s non-negativity check on the way."""
+        for price in PRICES:
+            draws = START_SHARES + START_CASH // price + 1
+            for days in range(1, 61):
+                clamps = _still_clamps(price, days)
+                assert len(clamps) == draws
+                for r in range(draws):
+                    policy = ConsistentPolicy((r - START_SHARES,) * 3)
+                    assert clamps[r] == _run_week((price,) * days, policy, None)[1], (price, days, r)
 
 
 class TestExperiment:

@@ -95,6 +95,16 @@ class TestSpaces:
         with pytest.raises(ValueError):
             PerceptionSpace(frozenset({ZERO}), frozenset())
 
+    def test_trial_spaces_are_built_once_per_label_count(self):
+        """A random trial over a entity and b environment codes reads
+        `_SPACES[a - 1][b - 1]`: the space it would build inline."""
+        assert len(observe._SPACES) == observe._LABELS
+        for a, row in enumerate(observe._SPACES, 1):
+            assert len(row) == observe._LABELS
+            for b, space in enumerate(row, 1):
+                assert space == PerceptionSpace(frozenset({ZERO, *range(a)}), frozenset(range(b)))
+                assert contradiction_threshold(space) == (a + 1) * b
+
 
 class TestPerceiveAndExtract:
     def test_constant_observer(self):
